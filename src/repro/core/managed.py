@@ -3,29 +3,32 @@
 The paper's premise is a sample that outlives any single process -- the
 durable synopsis of an unbounded stream.  :class:`ManagedSample` is the
 deployment glue a downstream user actually wants: it owns a geometric
-structure, checkpoints its logical state to a file every
-``checkpoint_every`` flushes (atomically, via rename), and reopens from
-the latest checkpoint on restart.
+structure, appends a generation of its logical state to a checkpoint
+log every ``checkpoint_every`` flushes (fsynced; see
+:mod:`repro.core.checkpoint` for the format, the compaction rule and
+the recovery rule), and reopens from the last intact generation on
+restart.
 
 Durability semantics: a crash loses at most the records admitted since
 the last checkpoint -- the stream positions covered by the restored
 state resume exactly (bit-identical continuation is a tested property
 of :mod:`repro.core.checkpoint`), so the reservoir remains a true
 sample of the records it has *seen*; the gap is simply unseen stream,
-the same as any downtime.
+the same as any downtime.  A torn or corrupted newest generation costs
+one more generation: the restore falls back to the one before it.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import time
 from typing import Callable
 
 from ..sampling.weights import WeightFunction
 from ..storage.device import BlockDevice
 from ..storage.records import Record
 from .biased_file import BiasedGeometricFile, BiasedMultipleGeometricFiles
-from .checkpoint import load_geometric_file, save_geometric_file
+from .checkpoint import CheckpointLog
 from .geometric_file import GeometricFile, GeometricFileConfig
 from .multi import MultiFileConfig, MultipleGeometricFiles
 
@@ -41,9 +44,10 @@ class ManagedSample:
     """A checkpointed sampling structure bound to a state file.
 
     Args:
-        checkpoint_path: where the JSON state lives.  If the file
-            exists, the structure is restored from it; otherwise a
-            fresh one is created from ``config``.
+        checkpoint_path: where the checkpoint log lives.  If the file
+            exists, the structure is restored from its last intact
+            generation; otherwise a fresh one is created from
+            ``config``.
         device_factory: builds the backing block device (called on both
             create and restore; the devices carry no authoritative
             state -- the checkpoint is the source of truth).
@@ -87,10 +91,8 @@ class ManagedSample:
         self.restored = os.path.exists(self.path)
         self.checkpoint_meta: dict | None = None
         if self.restored:
-            with open(self.path, "r", encoding="ascii") as source:
-                self.structure = load_geometric_file(
-                    source, device_factory(), weight_fn=weight_fn
-                )
+            self.structure, self._log = CheckpointLog.open(
+                self.path, device_factory(), weight_fn=weight_fn)
             if not isinstance(self.structure, cls):
                 raise ValueError(
                     f"checkpoint holds a {type(self.structure).__name__}, "
@@ -102,17 +104,19 @@ class ManagedSample:
                 f"no checkpoint at {self.path!r} and no config to "
                 "create a fresh structure from"
             )
-        elif kind.startswith("biased"):
-            self.structure = cls(device_factory(), config, weight_fn,
-                              seed=seed)
-        elif weight_fn is not None:
-            # Plain kinds take weight_fn as a keyword: it parameterises
-            # the configured sampling law (config.law), not a biased
-            # multiplier scheme.
-            self.structure = cls(device_factory(), config, seed=seed,
-                                 weight_fn=weight_fn)
         else:
-            self.structure = cls(device_factory(), config, seed=seed)
+            self._log = CheckpointLog(self.path)
+            if kind.startswith("biased"):
+                self.structure = cls(device_factory(), config, weight_fn,
+                                     seed=seed)
+            elif weight_fn is not None:
+                # Plain kinds take weight_fn as a keyword: it
+                # parameterises the configured sampling law
+                # (config.law), not a biased multiplier scheme.
+                self.structure = cls(device_factory(), config, seed=seed,
+                                     weight_fn=weight_fn)
+            else:
+                self.structure = cls(device_factory(), config, seed=seed)
         self._checkpointed_flushes = self.structure.flushes
 
     @classmethod
@@ -192,36 +196,36 @@ class ManagedSample:
         return self.structure.flushes - self._checkpointed_flushes
 
     def checkpoint(self, *, meta: dict | None = None) -> None:
-        """Write the current state atomically (write + rename).
+        """Durably append the current state as the log's next generation.
+
+        Returns once the generation is fsynced (a base rewrite also
+        fsyncs its directory after the rename).
 
         Args:
-            meta: optional caller metadata embedded in the checkpoint
-                file itself (see :func:`repro.core.checkpoint.
-                save_geometric_file`); it rides the same atomic rename
-                as the state, so a reader never sees state from one
-                checkpoint with metadata from another.
+            meta: optional caller metadata embedded in the generation
+                itself (see :func:`repro.core.checkpoint.
+                save_geometric_file`); it rides the same CRC-checked
+                frame as the state, so a reader never sees state from
+                one checkpoint with metadata from another.
         """
         # Checkpoint barrier: with the pipelined engine, wait for every
         # queued flush to reach the device before snapshotting, so the
         # checkpoint never describes I/O the device has not absorbed
         # (and a parked writer fault surfaces here, not mid-save).
-        self.structure.flush_barrier()
-        directory = os.path.dirname(self.path) or "."
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".json"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="ascii") as sink:
-                save_geometric_file(self.structure, sink, meta=meta)
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        structure = self.structure
+        structure.flush_barrier()
+        started = time.perf_counter()
+        written, generation = self._log.append(structure, meta)
+        seconds = time.perf_counter() - started
         self.checkpoint_meta = meta
-        self._checkpointed_flushes = self.structure.flushes
-        self.structure._emit("checkpoint", path=self.path,
-                          flushes=self.structure.flushes)
+        self._checkpointed_flushes = structure.flushes
+        if structure._registry is not None:
+            structure._registry.histogram(
+                "checkpoint.seconds",
+                structure=structure._obs_name).observe(seconds)
+        structure._emit("checkpoint", path=self.path,
+                         flushes=structure.flushes, duration_s=seconds,
+                         bytes=written, generation=generation)
 
     def _maybe_checkpoint(self) -> None:
         if (self.checkpoint_every

@@ -365,11 +365,18 @@ class SubsampleLedger:
 
     # -- checkpoint support -------------------------------------------------
 
+    def layout_state(self) -> tuple[list[int], list[int], int, int]:
+        """``(sizes, slots, size head, slot head)``: the lists as pushed
+        at creation (never changed afterwards) and how far the flushes
+        have consumed them (checkpointing only)."""
+        return self._sizes, self._slots, self._head, self._slots_head
+
     def restore_layout_state(self, segment_sizes: list[int],
-                             slots: list[int]) -> None:
+                             slots: list[int], head: int,
+                             slots_head: int) -> None:
         """Reset the physical layout view (checkpoint recovery only)."""
         self._sizes = list(segment_sizes)
-        self._head = 0
-        self._physical = sum(self._sizes)
+        self._head = head
+        self._physical = sum(self._sizes[head:])
         self._slots = list(slots)
-        self._slots_head = 0
+        self._slots_head = slots_head

@@ -11,12 +11,15 @@ semantics.
 Durability / exactly-once contract, in one paragraph: every batch is
 appended to an in-memory per-shard journal *before* it is enqueued to
 the worker; workers checkpoint every ``checkpoint_batches`` applied
-batches, stamping the covered sequence number into the checkpoint file
-itself (one atomic rename); checkpoint acks prune the journal.  When a
-worker dies -- detected by liveness checks, a full inbox, or a silent
-outbox -- the supervisor harvests any late acks, respawns the worker,
-reads the restored sequence from its ``ready`` handshake, prunes the
-journal to it, and replays the rest in order.  The worker rejects
+batches, stamping the covered sequence number into the fsynced
+generation itself (one CRC-checked frame of the checkpoint log); each
+checkpoint ack prunes the journal through the generation *before* the
+acknowledged one, so a torn or corrupted newest generation still has
+its batches journaled.  When a worker dies -- detected by liveness
+checks, a full inbox, or a silent outbox -- the supervisor harvests any
+late acks, respawns the worker, reads the restored sequence from its
+``ready`` handshake, and replays every journaled batch after it, in
+order.  The worker rejects
 non-monotonic sequences, so a record is applied exactly once no matter
 where the crash landed; the restored RNG state continues bit-exactly
 (a tested property of :mod:`repro.core.checkpoint`), so the recovered
@@ -95,7 +98,8 @@ class ShardedReservoir:
             ingestion blocks when a shard falls this far behind
             (backpressure).
         checkpoint_batches: worker checkpoint cadence in batches; also
-            bounds journal memory and crash replay length.
+            bounds journal memory and crash replay length (to twice
+            the cadence: the journal keeps one generation of slack).
         seed: base seed; shard ``i`` uses ``seed + i`` for its
             reservoir and an independent stream for queries/merges.
         timeout: seconds to wait for a worker reply before declaring
@@ -160,8 +164,9 @@ class ShardedReservoir:
         self._keyed_merge = getattr(config, "law", "uniform") != "uniform"
         self._merge_rng = np.random.default_rng(
             np.random.SeedSequence([(seed or 0) & 0xFFFFFFFF, 0x4D]))
-        # Per-shard: journal of unacknowledged journaled messages,
-        # next sequence number, and last checkpoint-acked sequence.
+        # Per-shard: journal of not-yet-pruned journaled messages, next
+        # sequence number, and the sequence of the newest durable
+        # generation (last checkpoint ack or restored sequence).
         self._journal: dict[int, list[tuple]] = {i: [] for i in range(shards)}
         self._next_seq = {i: 1 for i in range(shards)}
         self._acked = {i: 0 for i in range(shards)}
@@ -500,8 +505,10 @@ class ShardedReservoir:
         """Force every shard to checkpoint now; prunes the journals.
 
         Waits until each shard has acknowledged a checkpoint covering
-        every batch posted before this call, so on return the journals
-        are empty and the on-disk state is current.
+        every batch posted before this call, then one more: the journal
+        keeps one generation of slack (see :meth:`_acknowledge`), so
+        only the second ack empties it.  On return the journals are
+        empty and the on-disk state is current.
         """
         for shard_id in range(self.shards):
             target = self._next_seq[shard_id] - 1
@@ -512,6 +519,8 @@ class ShardedReservoir:
                     self._pool.send(shard_id, ("checkpoint",))
                     while self._acked[shard_id] < target:
                         self._collect(shard_id, "checkpointed")
+                    self._pool.send(shard_id, ("checkpoint",))
+                    self._collect(shard_id, "checkpointed")
                     break
                 except ShardDead:
                     self._recover(shard_id)
@@ -550,7 +559,7 @@ class ShardedReservoir:
 
     @property
     def journal_depth(self) -> int:
-        """Unacknowledged journaled messages across all shards."""
+        """Journaled messages not yet pruned, across all shards."""
         return sum(len(j) for j in self._journal.values())
 
     # -- observability ------------------------------------------------------
@@ -642,34 +651,43 @@ class ShardedReservoir:
     def _handle_ack(self, shard_id: int, reply: tuple) -> bool:
         """Process one out-of-band reply; True if it was consumed."""
         if reply[0] == "checkpointed":
-            self._prune(shard_id, reply[2])
+            self._acknowledge(shard_id, reply[2])
             return True
         if reply[0] == "error":
             raise RuntimeError(
                 f"shard {shard_id} reported: {reply[2]}")
         return False
 
-    def _prune(self, shard_id: int, acked_seq: int) -> None:
-        if acked_seq <= self._acked[shard_id]:
-            return
-        self._acked[shard_id] = acked_seq
+    def _acknowledge(self, shard_id: int, seq: int) -> None:
+        """A durable generation covers ``seq``: prune the journal
+        through the generation before it.
+
+        One generation of slack: if the newest generation is later
+        found torn or corrupt, the worker restores the one before it,
+        and every batch after that one must still be here to replay.
+        The journal therefore holds up to ``2 * checkpoint_batches``
+        messages per shard.
+        """
+        through = self._acked[shard_id]
+        self._acked[shard_id] = seq
         journal = self._journal[shard_id]
         keep = 0
-        while keep < len(journal) and journal[keep][1] <= acked_seq:
+        while keep < len(journal) and journal[keep][1] <= through:
             keep += 1
         del journal[:keep]
 
     def _await_ready(self, shard_id: int) -> int:
         reply = self._collect(shard_id, "ready")
         restored_seq = reply[2]
-        # Anything the restored checkpoint already covers must never be
-        # replayed; anything after it must be.  On a fresh service both
-        # sides are empty and this is a no-op.  A service *reopened* on
-        # an existing root continues numbering after the restored
-        # sequence (the worker rejects non-monotonic sequences).
+        # Anything the restored generation already covers must never be
+        # replayed; anything after it must be.  The restored generation
+        # is the newest durable one, so the next ack prunes through it.
+        # A service *reopened* on an existing root continues numbering
+        # after the restored sequence (the worker rejects non-monotonic
+        # sequences).
         if restored_seq >= self._next_seq[shard_id]:
             self._next_seq[shard_id] = restored_seq + 1
-        self._prune(shard_id, restored_seq)
+        self._acked[shard_id] = restored_seq
         return restored_seq
 
     def _collect(self, shard_id: int, want: str,
@@ -680,7 +698,7 @@ class ShardedReservoir:
             reply = self._pool.recv(shard_id, timeout=self.timeout)
             if reply[0] == want and (token is None or reply[2] == token):
                 if reply[0] == "checkpointed":
-                    self._prune(shard_id, reply[2])
+                    self._acknowledge(shard_id, reply[2])
                 return reply
             if self._handle_ack(shard_id, reply):
                 continue
@@ -696,10 +714,12 @@ class ShardedReservoir:
         self.recoveries += 1
         # Late acks may sit in the dead worker's outbox (a checkpoint
         # it finished just before dying): harvest them first so the
-        # replay below starts from the newest covered sequence.
+        # journal is pruned as far as the durable generations allow.
         for reply in self._pool.drain(shard_id):
-            if reply[0] in ("checkpointed", "ready"):
-                self._prune(shard_id, reply[2])
+            if reply[0] == "checkpointed":
+                self._acknowledge(shard_id, reply[2])
+            elif reply[0] == "ready":
+                self._acked[shard_id] = reply[2]
         while True:
             self._pool.respawn(shard_id)
             try:

@@ -11,7 +11,9 @@ own process*.
 
 Directory layout, per shard::
 
-    <root>/shard-00/checkpoint.json   the durable state (atomic rename)
+    <root>/shard-00/checkpoint.json   the durable state: an append-only
+                                      generation log (see
+                                      :mod:`repro.core.checkpoint`)
     <root>/shard-00/device.bin        only for file-backed devices
 
 The checkpoint is the single source of truth on recovery; devices carry

@@ -52,7 +52,7 @@ from .spec import ShardSpec
 SEQ_NONE = 0
 
 #: Key under which the covered batch sequence is stored in checkpoint
-#: metadata (rides the checkpoint's atomic rename; see
+#: metadata (rides the same CRC-checked generation as the state; see
 #: :meth:`repro.core.managed.ManagedSample.checkpoint`).
 SEQ_META_KEY = "seq"
 

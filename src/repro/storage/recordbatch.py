@@ -18,17 +18,22 @@ The batch also keeps just enough of the ``list[Record]`` surface --
 ``len``, iteration, indexing, tail deletion, truthiness -- that the
 :class:`~repro.core.subsample.SubsampleLedger` and the object-returning
 query shims work on either representation unchanged.  Iterating or
-integer-indexing decodes (that is the *shim*, deliberately scalar);
+integer-indexing decodes through the column-wise :meth:`to_records`;
 every hot path stays on the array.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .records import Record, RecordSchema, WeightedRecord
+
+#: Rows decoded per step when iterating, so a partial iteration never
+#: decodes the whole batch.
+_DECODE_CHUNK = 4096
 
 
 class RecordBatch:
@@ -200,8 +205,24 @@ class RecordBatch:
         return self.schema.encode_many(self._array)
 
     def to_records(self) -> list[Record] | list[WeightedRecord]:
-        """Decode every row into record objects (the slow shim)."""
-        return list(self)
+        """Decode every row into record objects, column by column.
+
+        One ``tolist`` per field and one constructor call per record;
+        payloads lose their zero padding exactly as the scalar
+        :meth:`RecordSchema.decode` strips it (property-tested).
+        """
+        array = self._array
+        if "payload" in (array.dtype.names or ()):
+            payloads = [p.rstrip(b"\x00") for p in array["payload"].tolist()]
+        else:
+            payloads = repeat(b"")
+        records = list(map(Record, array["key"].tolist(),
+                           array["value"].tolist(),
+                           array["timestamp"].tolist(), payloads))
+        if self.schema.weighted:
+            return list(map(WeightedRecord, records,
+                            array["weight"].tolist()))
+        return records
 
     # -- copies and rearrangements ---------------------------------------
 
@@ -226,20 +247,11 @@ class RecordBatch:
     def __bool__(self) -> bool:
         return len(self._array) > 0
 
-    def _decode_row(self, row) -> Record | WeightedRecord:
-        payload = b""
-        if "payload" in (self._array.dtype.names or ()):
-            payload = bytes(row["payload"]).rstrip(b"\x00")
-        record = Record(key=int(row["key"]), value=float(row["value"]),
-                        timestamp=float(row["timestamp"]), payload=payload)
-        if self.schema.weighted:
-            return WeightedRecord(record=record, weight=float(row["weight"]))
-        return record
-
     def __iter__(self) -> Iterator[Record | WeightedRecord]:
-        decode = self._decode_row
-        for row in self._array:
-            yield decode(row)
+        array = self._array
+        for start in range(0, len(array), _DECODE_CHUNK):
+            chunk = RecordBatch(self.schema, array[start:start + _DECODE_CHUNK])
+            yield from chunk.to_records()
 
     def _encode_row(self, record: Record, weight: float | None = None):
         # One scalar-codec pack; numpy unpacks the slot bytes into the
@@ -250,7 +262,8 @@ class RecordBatch:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return RecordBatch(self.schema, self._array[index])
-        return self._decode_row(self._array[int(index)])
+        row = range(len(self._array))[int(index)]
+        return self[row:row + 1].to_records()[0]
 
     def __setitem__(self, index, value) -> None:
         if isinstance(index, slice):

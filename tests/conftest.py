@@ -64,6 +64,23 @@ def keyed_records(n: int) -> list[Record]:
             for i in range(n)]
 
 
+def damage_newest_generation(path, how: str) -> None:
+    """Tear (``"truncate"``) or corrupt (``"flip"``) a checkpoint log's
+    last frame: cut it mid-frame, or flip one bit in its middle."""
+    with open(path, "rb") as source:
+        data = bytearray(source.read())
+    start = data.rfind(b"\nGEN ", 0, len(data) - 1) + 1
+    middle = start + (len(data) - start) // 2
+    if how == "truncate":
+        del data[middle:]
+    elif how == "flip":
+        data[middle] ^= 0x01
+    else:
+        raise ValueError(f"unknown damage {how!r}")
+    with open(path, "wb") as sink:
+        sink.write(data)
+
+
 @pytest.fixture
 def records100() -> list[Record]:
     return keyed_records(100)

@@ -183,6 +183,48 @@ class TestCodecByteIdentity:
                    for k, v in zip(keys, values)]
         assert batch.to_bytes() == schema.encode_batch(records)
 
+    @given(record_size=st.integers(MIN_RECORD_SIZE, 96),
+           weighted=st.booleans(), records=record_lists(),
+           zero_payloads=st.booleans(),
+           weight_seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=80, deadline=None)
+    def test_column_decoder_matches_scalar_decode(
+            self, record_size, weighted, records, zero_payloads,
+            weight_seed):
+        """``to_records`` / iteration / indexing decode column-wise;
+        every record equals the scalar codec's, including payloads
+        stripped of zero padding (or all zeros) and weighted rows."""
+        if weighted:
+            record_size += 8
+        if zero_payloads:
+            records = [Record(key=r.key, value=r.value,
+                              timestamp=r.timestamp,
+                              payload=bytes(len(r.payload)))
+                       for r in records]
+        schema = RecordSchema(record_size, weighted=weighted)
+        weights = None
+        if weighted:
+            weights = [random.Random(weight_seed + i).uniform(0.0, 10.0)
+                       for i in range(len(records))]
+        data = schema.encode_batch(records, weights)
+        scalar = [schema.decode(data[i * record_size:(i + 1) * record_size])
+                  for i in range(len(records))]
+        batch = RecordBatch.from_bytes(schema, data)
+        assert batch.to_records() == scalar
+        assert list(batch) == scalar
+        n = len(records)
+        assert [batch[i] for i in range(-n, n)] == scalar + scalar
+
+    def test_iteration_decodes_in_chunks(self):
+        schema = RecordSchema(40)
+        batch = RecordBatch.from_columns(schema, np.arange(10_000),
+                                         values=np.arange(10_000) * 0.5)
+        records = list(batch)
+        assert records == batch.to_records()
+        assert records[9_999] == Record(key=9_999, value=4_999.5)
+        with pytest.raises(IndexError):
+            batch[10_000]
+
     def test_decode_many_is_zero_copy(self):
         schema = RecordSchema(40)
         data = schema.encode_batch(keyed_records(10))

@@ -24,7 +24,9 @@ from __future__ import annotations
 import collections
 import io
 import math
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -34,7 +36,11 @@ from scipy import stats as scipy_stats
 
 from conftest import TEST_BLOCK, keyed_records, small_disk_params
 from repro.core.buffer import SampleBuffer
-from repro.core.checkpoint import load_geometric_file, save_geometric_file
+from repro.core.checkpoint import (
+    CheckpointLog,
+    load_geometric_file,
+    save_geometric_file,
+)
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
 from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
@@ -549,6 +555,55 @@ class TestCheckpointRoundTrip:
         assert restored._law.state_dict() == gf._law.state_dict()
         gf.check_invariants()
         restored.check_invariants()
+
+    @given(case=st.sampled_from(_LAW_CASES),
+           chunks=st.lists(st.integers(10, 200), min_size=1, max_size=5),
+           seed=st.integers(0, 1_000))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_log_generations_match_a_full_image(self, case, chunks, seed):
+        """A base plus deltas appended anywhere in the stream restores
+        the same file as one full image -- ledgers (re-appended runs
+        after ``evict_indices`` included), aux rows, law and RNG state,
+        DiskStats and clock -- and both continue like the original."""
+        law, params = case
+        gf = law_file(law, params, capacity=80, seed=seed,
+                      device="simulated")
+        position = 0
+        with tempfile.TemporaryDirectory() as directory:
+            log = CheckpointLog(os.path.join(directory, "checkpoint.log"))
+            for n in chunks:
+                gf.offer_many(valued_records(n, start=position))
+                position += n
+                log.append(gf)
+            from_log, _ = CheckpointLog.open(log.path, SimulatedBlockDevice(
+                gf.device.n_blocks, small_disk_params()))
+        image = io.StringIO()
+        save_geometric_file(gf, image)
+        image.seek(0)
+        from_image = load_geometric_file(image, SimulatedBlockDevice(
+            gf.device.n_blocks, small_disk_params()))
+
+        def observed(copy):
+            stats = copy.stats()
+            return (stats.seen, stats.io, stats.clock,
+                    copy._law.state_dict(),
+                    [(ledger.ident, list(ledger.records),
+                      None if ledger.aux is None else ledger.aux.tolist())
+                     for ledger in copy.iter_ledgers()],
+                    list(copy.buffer),
+                    (copy.buffer.aux_view().tolist()
+                     if copy.buffer.aux_width else None),
+                    copy._rng.getstate(),
+                    copy._np_rng.bit_generator.state)
+
+        assert observed(from_log) == observed(gf)
+        assert observed(from_image) == observed(gf)
+        more = valued_records(150, start=position)
+        for copy in (gf, from_log, from_image):
+            copy.offer_many(more)
+        assert observed(from_log) == observed(gf)
+        assert observed(from_image) == observed(gf)
 
     def test_buffer_aux_rides_the_checkpoint(self):
         gf = law_file("aexpj", (("weight", "value"),), capacity=80)

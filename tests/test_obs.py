@@ -7,6 +7,7 @@ boundaries, the zero-cost guarantee (instrumentation must not move the
 simulated clock), and the deprecation shims for the old accessors.
 """
 
+import os
 import warnings
 
 import pytest
@@ -307,6 +308,42 @@ class TestTraceOrdering:
         assert observed._clock() == plain._clock()
         assert observed.device.stats() == plain.device.stats()
         assert observed.stats().seen == plain.stats().seen
+
+    def test_checkpoint_events_carry_their_cost(self, tmp_path):
+        """Each checkpoint event reports its wall seconds, the bytes it
+        appended and its generation kind; the same seconds feed the
+        ``checkpoint.seconds`` histogram."""
+        cfg = GeometricFileConfig(capacity=400, buffer_capacity=40,
+                                  record_size=40, retain_records=True,
+                                  beta_records=4)
+        blocks = GeometricFile.required_blocks(cfg, TEST_BLOCK)
+        path = tmp_path / "s.log"
+        ms = ManagedSample(
+            path, lambda: SimulatedBlockDevice(blocks, small_disk_params()),
+            cfg, checkpoint_every=2)
+        registry, trace = MetricsRegistry(), TraceSink()
+        ms.instrument(registry, trace)
+        feed(ms, 600)
+        ms.checkpoint()
+        events = trace.events("checkpoint")
+        assert len(events) >= 3
+        assert events[0].fields["generation"] == "base"
+        assert {e.fields["generation"] for e in events[1:]} <= {"base",
+                                                               "delta"}
+        assert "delta" in {e.fields["generation"] for e in events}
+        size = 0
+        for event in events:
+            assert event.fields["duration_s"] > 0
+            if event.fields["generation"] == "delta":
+                size += event.fields["bytes"]
+            else:
+                size = event.fields["bytes"]
+        assert size == os.path.getsize(path)
+        histogram = registry.get("checkpoint.seconds",
+                                 structure="geo file")
+        assert histogram.count == len(events)
+        assert histogram.total == pytest.approx(
+            sum(e.fields["duration_s"] for e in events))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import keyed_records
+from conftest import damage_newest_generation, keyed_records
 from repro.core.geometric_file import GeometricFileConfig
 from repro.obs import MetricsRegistry, TraceSink, aggregate_stats, stats_from_dict
 from repro.service import (
@@ -360,8 +360,9 @@ class TestRecovery:
             records = keyed_records(400)
             for start in range(0, 400, 40):
                 service.offer_batch(records[start:start + 40])
-            # Auto-checkpoints every 4 batches bound the journal.
-            assert service.journal_depth <= 4 * service.shards
+            # Auto-checkpoints every 4 batches bound the journal; it
+            # keeps one generation of slack, so the bound is 2 x 4.
+            assert service.journal_depth <= 2 * 4 * service.shards
             service.checkpoint()
             assert service.journal_depth == 0
 
@@ -407,6 +408,39 @@ class TestRecovery:
             assert len(keys) == len(set(keys))
             assert set(keys) <= {r.key for r in part}
             assert len(keys) == min(len(part), config.capacity)
+
+    @pytest.mark.parametrize("how", ["truncate", "flip"])
+    def test_damaged_newest_generation_loses_no_acknowledged_record(
+            self, tmp_path, how):
+        """A shard killed and found with its newest checkpoint
+        generation torn or bit-flipped restores the generation before
+        it; the journal's one generation of slack replays the rest, so
+        the service ends exactly where an uninterrupted twin does."""
+        records = keyed_records(1600)
+        batches = [records[i:i + 40] for i in range(0, 1600, 40)]
+        config = service_config(capacity=100, buffer_capacity=10)
+
+        def observed(service):
+            shards = service.shard_stats()
+            return ([(s.seen, s.io, s.clock) for s in shards],
+                    [r.key for r in service.sample(60)])
+
+        with make_service(tmp_path / "twin", config=config, shards=2,
+                          checkpoint_batches=2) as twin:
+            for batch in batches:
+                twin.offer_batch(batch)
+            expected = observed(twin)
+        with make_service(tmp_path / "svc", config=config, shards=2,
+                          checkpoint_batches=2) as service:
+            for index, batch in enumerate(batches):
+                if index == 25:
+                    service.kill_shard(0)
+                    damage_newest_generation(
+                        service.specs[0].checkpoint_path, how)
+                service.offer_batch(batch)
+            assert service.stats().seen == 1600
+            assert service.recoveries == 1
+            assert observed(service) == expected
 
     def test_query_after_crash_recovers_first(self, tmp_path):
         with make_service(tmp_path / "svc") as service:
