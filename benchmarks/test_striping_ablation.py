@@ -37,9 +37,9 @@ def test_virtual_memory_on_five_spindles(benchmark):
                 device = StripedBlockDevice(blocks, n_disks, PARAMS)
             vm = VirtualMemoryReservoir(device, config, seed=0)
             vm.ingest(config.capacity)          # sequential fill
-            fill_clock = vm.clock
+            fill_clock = vm.stats().clock
             vm.ingest(20_000)                   # random-I/O steady state
-            rate = 20_000 / (vm.clock - fill_clock)
+            rate = 20_000 / (vm.stats().clock - fill_clock)
             out[n_disks] = rate
         return out
 
@@ -70,9 +70,9 @@ def test_multi_geo_scales_with_spindles(benchmark):
                 device = StripedBlockDevice(blocks, n_disks, PARAMS)
             mf = MultipleGeometricFiles(device, config, seed=0)
             mf.ingest(2_000_000)                # fill
-            fill_clock = mf.clock
+            fill_clock = mf.stats().clock
             mf.ingest(2_000_000)                # steady state
-            out[n_disks] = 2_000_000 / (mf.clock - fill_clock)
+            out[n_disks] = 2_000_000 / (mf.stats().clock - fill_clock)
         return out
 
     rates = benchmark.pedantic(run, rounds=1, iterations=1)

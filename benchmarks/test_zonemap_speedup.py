@@ -38,7 +38,7 @@ def test_pruning_vs_window_width(benchmark):
         for window_fraction in (0.01, 0.05, 0.10, 0.25, 0.50, 1.00):
             low = horizon * (1 - window_fraction)
             matches = sum(1 for _ in index.query(low, horizon))
-            stats = index.last_stats
+            stats = index.stats()
             out.append((window_fraction, matches,
                         stats.records_scanned, stats.pruned_fraction))
         return out

@@ -105,7 +105,7 @@ def main() -> None:
     index = ZoneMapIndex(sample, field="timestamp")
     cutoff = records[-1].timestamp * 0.9
     recent = [r.value for r in index.query(cutoff, records[-1].timestamp)]
-    stats = index.last_stats
+    stats = index.stats()
     print(f"\ntime-window filter via zone maps: scanned "
           f"{stats.records_scanned:,} records in "
           f"{stats.subsamples_scanned}/{stats.subsamples_total} "

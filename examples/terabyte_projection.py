@@ -93,7 +93,7 @@ def simulated_section(scale: int = 100) -> None:
     multi = MultipleGeometricFiles(multi_device, multi_config, seed=0)
 
     for structure in (single, multi):
-        while structure.clock < horizon:
+        while structure.stats().clock < horizon:
             structure.ingest(buffer)
 
     for label, structure, device in (
@@ -101,12 +101,12 @@ def simulated_section(scale: int = 100) -> None:
         (f"{multi.n_files} geometric files", multi, multi_device),
     ):
         stats = device.model.stats
-        rate = structure.samples_added * RECORD / structure.clock / 2 ** 20
-        print(f"  {label:<22} {structure.samples_added:>13,} samples"
+        rate = structure.stats().samples_added * RECORD / structure.stats().clock / 2 ** 20
+        print(f"  {label:<22} {structure.stats().samples_added:>13,} samples"
               f"  {stats.seeks:>10,} seeks"
               f"  {100 * stats.random_io_fraction:5.1f}% seek time"
               f"  {rate:6.1f} MiB/s effective")
-    speedup = multi.samples_added / single.samples_added
+    speedup = multi.stats().samples_added / single.stats().samples_added
     print(f"  -> multi-file speedup: {speedup:.1f}x "
           f"(widens further at full scale; see EXPERIMENTS.md)")
 

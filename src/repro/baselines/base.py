@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.buffer import SampleBuffer
 from ..pipeline import SCHEDULER_NAMES, FlushEngine, FlushPlan
 from ..reservoir import AdmissionMode, StreamReservoir
@@ -38,14 +40,11 @@ class DiskReservoirConfig:
         record_size: bytes per record.
         pool_blocks: LRU buffer-pool capacity in blocks (the paper's
             100 MB read/write cache).
-        retain_records: keep record payloads (tests / small runs).
+        retain_records: keep the records (tests / small runs): the
+            fill phase, the new-sample buffer and the resident sample
+            are :class:`~repro.storage.recordbatch.RecordBatch` slabs.
+            I/O charges are identical to count-only mode.
         admission: see :class:`~repro.reservoir.StreamReservoir`.
-        columnar: run the columnar record engine -- the new-sample
-            buffer becomes a structured-array slab and retained state is
-            held as :class:`~repro.storage.recordbatch.RecordBatch`
-            slabs instead of record-object lists.  Implies
-            ``retain_records``.  I/O charges are identical to the
-            scalar path.
         pipeline: run steady-state flushes on a background writer
             thread; see
             :class:`~repro.core.geometric_file.GeometricFileConfig`.
@@ -61,14 +60,11 @@ class DiskReservoirConfig:
     pool_blocks: int = 64
     retain_records: bool = False
     admission: AdmissionMode = "always"
-    columnar: bool = False
     pipeline: bool = False
     io_scheduler: str = "fifo"
     stream_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.columnar and not self.retain_records:
-            object.__setattr__(self, "retain_records", True)
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
         if self.buffer_capacity < 1:
@@ -136,9 +132,11 @@ class BufferedDiskReservoir(StreamReservoir):
     Subclasses implement:
 
     * :meth:`_finish_fill` -- called once, when the reservoir has just
-      filled (record mode receives the full record list);
+      filled (record mode receives the fill as one slab);
     * :meth:`_steady_flush` -- called per buffer flush with the drained
-      (shuffled) records, or ``None`` with a count in count-only mode.
+      (shuffled) records, or ``None`` with a count in count-only mode;
+    * :meth:`_disk_rows` -- the resident sample as a fresh row array
+      (record mode), for queries.
     """
 
     def __init__(self, device: BlockDevice, config: DiskReservoirConfig,
@@ -150,25 +148,24 @@ class BufferedDiskReservoir(StreamReservoir):
         self.schema = RecordSchema(config.record_size)
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
-                                   np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None))
+                                   np_rng=self._np_rng, schema=self.schema)
         self._engine = FlushEngine.for_config(device, config)
         self._fill_appender = SequentialAppender(device, self.schema)
         self._filled = 0
-        self._fill_records: list[Record] | None = (
-            [] if config.retain_records else None
+        #: The first ``N`` admissions, as rows (record mode only).
+        self._fill_rows: np.ndarray | None = (
+            np.zeros(config.capacity, dtype=self.schema.dtype)
+            if config.retain_records else None
         )
         self.flushes = 0
         self.chunk_floor = config.buffer_capacity
 
     # -- hooks ---------------------------------------------------------------
 
-    def _finish_fill(
-            self, records: list[Record] | RecordBatch | None) -> None:
+    def _finish_fill(self, records: RecordBatch | None) -> None:
         raise NotImplementedError
 
-    def _steady_flush(self, records: list[Record] | RecordBatch | None,
+    def _steady_flush(self, records: RecordBatch | None,
                       count: int, plan: FlushPlan) -> None:
         """Record one steady-state flush's device ops into ``plan``.
 
@@ -178,7 +175,11 @@ class BufferedDiskReservoir(StreamReservoir):
         """
         raise NotImplementedError
 
-    def _flush_buffer(self, records: list[Record] | RecordBatch | None,
+    def _disk_rows(self) -> np.ndarray:
+        """The resident sample after the fill, as rows the caller owns."""
+        raise NotImplementedError
+
+    def _flush_buffer(self, records: RecordBatch | None,
                       count: int) -> None:
         """Drive one drained buffer through plan build, submit, and emit."""
         plan = FlushPlan()
@@ -199,27 +200,33 @@ class BufferedDiskReservoir(StreamReservoir):
     def in_fill_phase(self) -> bool:
         return self._filled < self.capacity
 
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+    def _materialize(self, gen: np.random.Generator) -> np.ndarray:
+        if not self.config.retain_records:
+            raise TypeError("reservoir is running in count-only mode")
+        if self.in_fill_phase:
+            # The fill phase admits straight to disk; the buffer is
+            # still empty.
+            return self._fill_rows[:self._filled].copy()
+        return self.apply_pending_batch(self._disk_rows(),
+                                        self.buffer.pending_view(), gen)
 
     # -- StreamReservoir hooks ---------------------------------------------------
 
     def _admit(self, record: Record | None) -> None:
         if self.in_fill_phase:
-            self._fill_one(record)
+            self._fill_from([record])
             return
         self.buffer.add_admitted(record, self.capacity)
         if self.buffer.is_full:
             records, _, count = self.buffer.drain()
             self._flush_buffer(records, count)
 
-    def _admit_many(self, records: list[Record | None]) -> None:
+    def _admit_many(self, records) -> None:
         # Batch form of _admit: the fill-phase prefix goes out as one
         # sequential append, the rest through the buffer's vectorised
         # absorb, flushing at the same boundaries as the scalar loop.
-        i = self._fill_from_batch(records)
+        # ``records`` is a list of records or a RecordBatch.
+        i = self._fill_from(records)
         n = len(records)
         while i < n:
             i += self.buffer.absorb_many(records, self.capacity, start=i)
@@ -227,23 +234,7 @@ class BufferedDiskReservoir(StreamReservoir):
                 drained, _, count = self.buffer.drain()
                 self._flush_buffer(drained, count)
 
-    def _admit_batch(self, batch: RecordBatch) -> None:
-        # Columnar twin of _admit_many: the fill-phase prefix is decoded
-        # once (the fill happens exactly once per reservoir), the steady
-        # suffix goes through the buffer's slab absorb.
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
-        i = 0
-        n = len(batch)
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            i = self._fill_from_batch(list(batch[:take]))
-        while i < n:
-            i += self.buffer.absorb_batch(batch, self.capacity, start=i)
-            if self.buffer.is_full:
-                drained, _, count = self.buffer.drain()
-                self._flush_buffer(drained, count)
+    _admit_batch = _admit_many
 
     def _admit_count(self, n: int) -> None:
         if self.in_fill_phase:
@@ -263,38 +254,31 @@ class BufferedDiskReservoir(StreamReservoir):
 
     # -- fill phase ----------------------------------------------------------------
 
-    def _fill_one(self, record: Record | None) -> None:
-        self._fill_appender.append(1)
-        self._filled += 1
-        if self._fill_records is not None:
-            if record is None:
-                raise ValueError("record-retaining mode needs the record")
-            self._fill_records.append(record)
-        if not self.in_fill_phase:
-            self._complete_fill()
+    def _rows(self, records) -> np.ndarray:
+        """Slab rows for a record list or batch (record mode)."""
+        if isinstance(records, RecordBatch):
+            return records.array
+        if any(record is None for record in records):
+            raise ValueError("record-retaining mode needs the record")
+        return RecordBatch.from_records(self.schema, records).array
 
-    def _fill_from_batch(self, records: list[Record | None]) -> int:
+    def _fill_from(self, records) -> int:
         """Consume a batch's fill-phase prefix; returns records taken."""
         if not self.in_fill_phase:
             return 0
         take = min(len(records), self.capacity - self._filled)
+        if self._fill_rows is not None:
+            self._fill_rows[self._filled:self._filled + take] = (
+                self._rows(records[:take]))
         self._fill_appender.append(take)
         self._filled += take
-        if self._fill_records is not None:
-            chunk = records[:take]
-            if any(r is None for r in chunk):
-                raise ValueError("record-retaining mode needs the record")
-            self._fill_records.extend(chunk)
         if not self.in_fill_phase:
             self._complete_fill()
         return take
 
     def _complete_fill(self) -> None:
         self._fill_appender.finish()
-        records = self._fill_records
-        self._fill_records = None
-        if records is not None and self.columnar:
-            # The fill list physicalises as one slab; from here on the
-            # steady state works purely on structured rows.
-            records = RecordBatch.from_records(self.schema, records)
-        self._finish_fill(records)
+        rows = self._fill_rows
+        self._fill_rows = None
+        self._finish_fill(None if rows is None
+                          else RecordBatch(self.schema, rows))

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..pipeline import FlushPlan
+from ..reservoir import draw_victim_counts
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record
-from ..reservoir import draw_victim_counts
 from .base import BufferedDiskReservoir, DiskReservoirConfig
 
 
@@ -53,7 +54,7 @@ class _Cohort:
 
     live: int
     region_block: int
-    records: "list[Record] | RecordBatch | None" = None
+    records: "RecordBatch | None" = None
 
 
 class LocalOverwriteReservoir(BufferedDiskReservoir):
@@ -94,21 +95,17 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
             "max_cohorts_touched": self.max_cohorts_touched,
         }
 
-    def _finish_fill(
-            self, records: list[Record] | RecordBatch | None) -> None:
-        if isinstance(records, RecordBatch):
-            # Shuffle an index list through the same random.Random the
-            # object path shuffles its list with (identical RNG
-            # consumption), then realise the permutation as one take.
+    def _finish_fill(self, records: RecordBatch | None) -> None:
+        if records is not None:
+            # The fill is clustered randomly: Fisher-Yates over an index
+            # list, realised as one take.
             order = list(range(len(records)))
             self._rng.shuffle(order)
             records = records.take(order)
-        elif records is not None:
-            self._rng.shuffle(records)  # the fill is clustered randomly
         self._cohorts = [_Cohort(live=self.capacity, region_block=0,
                                  records=records)]
 
-    def _steady_flush(self, records: list[Record] | None,
+    def _steady_flush(self, records: RecordBatch | None,
                       count: int, plan: FlushPlan) -> None:
         """Evict a uniform B-subset cohort-by-cohort; write one piece each.
 
@@ -149,18 +146,6 @@ class LocalOverwriteReservoir(BufferedDiskReservoir):
         lives = [cohort.live for cohort in self._cohorts]
         return draw_victim_counts(self._np_rng, lives, count)
 
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents plus pending buffered admissions;
-        ``k`` optionally thins to a uniform subset (protocol form)."""
-        self.flush_barrier()
-        if self.config.retain_records is False:
-            raise TypeError("reservoir is running in count-only mode")
-        if self.in_fill_phase:
-            full = list(self._fill_records or []) + list(self.buffer)
-            return self._thin_records(full, k, rng)
-        disk: list[Record] = []
-        for cohort in self._cohorts:
-            disk.extend(cohort.records or ())
-        full = self.apply_pending(disk, list(self.buffer),
-                                  rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)
+    def _disk_rows(self) -> np.ndarray:
+        return np.concatenate([cohort.records.array
+                               for cohort in self._cohorts])

@@ -19,6 +19,8 @@ second" with a terabyte reservoir.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..storage.buffer_pool import LRUBufferPool
 from ..storage.device import BlockDevice
 from ..storage.recordbatch import RecordBatch
@@ -45,7 +47,7 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
         # Steady state pays per record, not per flush: let the runner
         # shrink chunks to track the horizon precisely.
         self.chunk_floor = 1
-        self._records: list[Record] | RecordBatch | None = None
+        self._records: RecordBatch | None = None
         self._n_blocks_used = self.schema.blocks_for_records(
             config.capacity, device.block_size
         )
@@ -66,7 +68,7 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
 
     # -- fill ------------------------------------------------------------------
 
-    def _finish_fill(self, records: list[Record] | None) -> None:
+    def _finish_fill(self, records: RecordBatch | None) -> None:
         self._records = records
 
     # -- observability -------------------------------------------------------
@@ -85,7 +87,7 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
 
     def _admit(self, record: Record | None) -> None:
         if self.in_fill_phase:
-            self._fill_one(record)
+            self._fill_from([record])
             return
         self._overwrite_random_slot(record)
 
@@ -100,40 +102,12 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
         for _ in range(n):
             self._overwrite_random_slot(None)
 
-    def _admit_many(self, records: list[Record | None]) -> None:
-        # One vectorised slot draw for the whole steady-state suffix;
-        # each slot still walks the LRU pool (the pool is the point of
-        # this baseline), but the randrange-per-record overhead is gone.
-        i = self._fill_from_batch(records)
+    def _admit_many(self, records) -> None:
+        # One vectorised slot draw for the whole steady-state suffix
+        # and one batched LRU walk (the pool is the point of this
+        # baseline); ``records`` is a record list or a RecordBatch.
+        i = self._fill_from(records)
         n = len(records)
-        if i >= n:
-            return
-        slots = self._np_rng.integers(0, self.capacity, size=n - i)
-        records_per_block = self.schema.records_per_block(
-            self.device.block_size
-        )
-        for j, slot in enumerate(slots.tolist()):
-            block = slot // records_per_block
-            self.pool.get(block)
-            self.pool.mark_dirty(block)
-            if self._records is not None:
-                record = records[i + j]
-                if record is not None:
-                    self._records[slot] = record
-
-    def _admit_batch(self, batch: RecordBatch) -> None:
-        # Columnar steady state: one vectorised slot draw (same
-        # np_rng stream as _admit_many), one batched LRU walk, and an
-        # in-order row scatter that matches the scalar loop bit for bit
-        # even when a slot repeats (last write wins).
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
-        i = 0
-        n = len(batch)
-        if self.in_fill_phase:
-            take = min(n, self.capacity - self._filled)
-            i = self._fill_from_batch(list(batch[:take]))
         if i >= n:
             return
         slots = self._np_rng.integers(0, self.capacity, size=n - i)
@@ -143,10 +117,14 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
         self.pool.get_many((slots // records_per_block).tolist(),
                            dirty=True)
         if self._records is not None:
-            dst = self._records.array
-            src = batch.array
-            for j, slot in enumerate(slots.tolist()):
-                dst[slot] = src[i + j]
+            # A repeated slot keeps its last write, as a per-record
+            # loop would.
+            _, from_end = np.unique(slots[::-1], return_index=True)
+            last = len(slots) - 1 - from_end
+            self._records.array[slots[last]] = (
+                self._rows(records[i:])[last])
+
+    _admit_batch = _admit_many
 
     def _overwrite_random_slot(self, record: Record | None) -> None:
         slot = self._rng.randrange(self.capacity)
@@ -164,12 +142,5 @@ class VirtualMemoryReservoir(BufferedDiskReservoir):
 
     # -- inspection -----------------------------------------------------------------
 
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents (record-retaining mode only);
-        ``k`` optionally thins to a uniform subset (protocol form)."""
-        self.flush_barrier()
-        if self._records is None:
-            if self._fill_records is not None:
-                return self._thin_records(list(self._fill_records), k, rng)
-            raise TypeError("reservoir is running in count-only mode")
-        return self._thin_records(list(self._records), k, rng)
+    def _disk_rows(self) -> np.ndarray:
+        return self._records.array.copy()

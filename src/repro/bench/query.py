@@ -1,29 +1,28 @@
-"""Columnar-engine micro-benchmark: flush encode, query, and AQP.
+"""Slab-engine micro-benchmark: flush encode, query, and AQP.
 
-The columnar record engine promises three wins over the scalar object
-path, and this module measures each one on twin smoke-scale geometric
-files (same seed, same stream, one ``columnar=False`` and one
-``columnar=True``):
+Retained records live in one packed structured-array slab per ledger.
+This module measures what the slab buys over the record-object API on
+*one* smoke-scale geometric file, for three operations:
 
 * ``flush_encode`` -- serialising a whole segment:
   :meth:`RecordSchema.encode_batch` over record objects (one compiled
   ``pack_into`` per record) vs :meth:`RecordBatch.to_bytes` (one
   ``tobytes`` over the structured slab);
 * ``query_aqp`` -- the end-to-end query loop: ``sample()`` +
-  :class:`~repro.estimate.aqp.SampleQuery` (decode every ledger row
-  into a ``Record``, then per-record Python predicates and sums) vs
+  :class:`~repro.estimate.aqp.SampleQuery` (decode every row into a
+  ``Record``, then per-record Python predicates and sums) vs
   ``sample_batch()`` + :class:`~repro.estimate.aqp.BatchQuery` (column
   views and ``numpy`` reductions, no record objects at all);
-* ``zone_map`` -- a pruned range scan:
+* ``zone_map`` -- a pruned range scan: the record iterator
   :meth:`~repro.core.zonemap.ZoneMapIndex.query` vs
   :meth:`~repro.core.zonemap.ZoneMapIndex.query_batch`.
 
-As with the ingest smoke test, the point is regression detection: the
-report (``BENCH_query.json``) pins the measured speedups so a change
-that quietly re-routes the columnar path through per-record Python
-shows up as a collapsed ratio.  The two engines charge identical
-simulated I/O by construction (tested bit-exactly), so wall-clock CPU
-time is the right metric here.
+The "scalar" column of the report is the record API, the "columnar"
+column the slab API.  As with the ingest smoke test, the point is
+regression detection: the report (``BENCH_query.json``) pins the
+measured speedups so a change that quietly re-routes a slab path
+through per-record Python shows up as a collapsed ratio.  Both columns
+read the same file, so wall-clock CPU time is the right metric here.
 """
 
 from __future__ import annotations
@@ -51,14 +50,13 @@ DEFAULT_BATCH = 4096
 DEFAULT_ROUNDS = 3
 
 
-def _make_file(spec: ExperimentSpec, *, columnar: bool) -> GeometricFile:
+def _make_file(spec: ExperimentSpec) -> GeometricFile:
     config = GeometricFileConfig(
         capacity=spec.capacity,
         buffer_capacity=spec.buffer_capacity,
         record_size=spec.record_size,
         retain_records=True,
         admission="uniform",
-        columnar=columnar,
     )
     params = spec.disk_parameters()
     blocks = GeometricFile.required_blocks(config, params.block_size)
@@ -83,17 +81,12 @@ def _make_stream(schema: RecordSchema, records: int,
     )
 
 
-def _ingest_twins(spec: ExperimentSpec, stream: RecordBatch,
-                  batch_size: int) -> tuple[GeometricFile, GeometricFile]:
-    scalar = _make_file(spec, columnar=False)
-    columnar = _make_file(spec, columnar=True)
-    rows = stream.to_records()
+def _ingest(spec: ExperimentSpec, stream: RecordBatch,
+            batch_size: int) -> GeometricFile:
+    gf = _make_file(spec)
     for start in range(0, len(stream), batch_size):
-        scalar.offer_many(rows[start:start + batch_size])
-        columnar.offer_batch(stream[start:start + batch_size])
-    if scalar.stats().seen != columnar.stats().seen:
-        raise AssertionError("twin files consumed different stream lengths")
-    return scalar, columnar
+        gf.offer_batch(stream[start:start + batch_size])
+    return gf
 
 
 def _time_rounds(op, rounds: int) -> float:
@@ -106,11 +99,11 @@ def _time_rounds(op, rounds: int) -> float:
 
 def measure_flush_encode(schema: RecordSchema, batch: RecordBatch, *,
                          rounds: int = DEFAULT_ROUNDS) -> dict:
-    """Whole-segment serialisation: object codec vs columnar slab."""
+    """Whole-segment serialisation: record codec vs slab ``tobytes``."""
     rows = batch.to_records()
     expected = schema.encode_batch(rows)
     if batch.to_bytes() != expected:
-        raise AssertionError("columnar encode is not byte-identical")
+        raise AssertionError("slab encode is not byte-identical")
     scalar_s = _time_rounds(lambda: schema.encode_batch(rows), rounds)
     columnar_s = _time_rounds(batch.to_bytes, rounds)
     n = len(batch) * rounds
@@ -124,7 +117,7 @@ def measure_flush_encode(schema: RecordSchema, batch: RecordBatch, *,
     }
 
 
-def measure_query_aqp(scalar: GeometricFile, columnar: GeometricFile, *,
+def measure_query_aqp(gf: GeometricFile, *,
                       rounds: int = DEFAULT_ROUNDS) -> dict:
     """sample() + SampleQuery vs sample_batch() + BatchQuery.
 
@@ -132,25 +125,24 @@ def measure_query_aqp(scalar: GeometricFile, columnar: GeometricFile, *,
     the sample, range-filter on ``value``, then AVG over the selection
     plus SUM and a predicate COUNT over the whole sample.
     """
-    population = scalar.stats().seen
+    population = gf.stats().seen
     low, high = 15.0, 35.0
 
     def scalar_round() -> None:
-        query = SampleQuery(scalar.sample(), population_size=population)
+        query = SampleQuery(gf.sample(), population_size=population)
         selection = query.filter(lambda r: low <= r.value <= high)
         selection.avg()
         query.sum()
         query.count(lambda r: r.value >= high)
 
     def columnar_round() -> None:
-        query = BatchQuery(columnar.sample_batch(),
-                           population_size=population)
+        query = BatchQuery(gf.sample_batch(), population_size=population)
         selection = query.filter("value", low, high)
         selection.avg()
         query.sum()
         query.count(query.mask("value", low=high))
 
-    sample_size = len(columnar.sample_batch())
+    sample_size = len(gf.sample_batch())
     scalar_s = _time_rounds(scalar_round, rounds)
     columnar_s = _time_rounds(columnar_round, rounds)
     n = sample_size * rounds
@@ -164,26 +156,24 @@ def measure_query_aqp(scalar: GeometricFile, columnar: GeometricFile, *,
     }
 
 
-def measure_zone_map(scalar: GeometricFile, columnar: GeometricFile, *,
+def measure_zone_map(gf: GeometricFile, *,
                      rounds: int = DEFAULT_ROUNDS) -> dict:
-    """Pruned range scan: iterator query vs columnar query_batch.
+    """Pruned range scan: record iterator vs query_batch.
 
     The window is the newest tenth of the (time-correlated) stream, so
     the envelopes prune most subsamples and the comparison isolates the
     per-record cost of scanning the survivors.
     """
-    seen = scalar.stats().seen
+    seen = gf.stats().seen
     low, high = seen * 0.9, float(seen)
-    scalar_index = ZoneMapIndex(scalar, field="timestamp")
-    columnar_index = ZoneMapIndex(columnar, field="timestamp")
-    matched = len(columnar_index.query_batch(low, high))
-    if matched != sum(1 for _ in scalar_index.query(low, high)):
-        raise AssertionError("zone-map engines matched different row sets")
+    index = ZoneMapIndex(gf, field="timestamp")
+    matched = len(index.query_batch(low, high))
+    if matched != sum(1 for _ in index.query(low, high)):
+        raise AssertionError("zone-map paths matched different row sets")
     scalar_s = _time_rounds(
-        lambda: sum(1 for _ in scalar_index.query(low, high)), rounds)
-    columnar_s = _time_rounds(
-        lambda: columnar_index.query_batch(low, high), rounds)
-    scanned = columnar_index.stats().records_scanned
+        lambda: sum(1 for _ in index.query(low, high)), rounds)
+    columnar_s = _time_rounds(lambda: index.query_batch(low, high), rounds)
+    scanned = index.stats().records_scanned
     n = max(scanned, 1) * rounds
     scalar_rps = n / scalar_s
     columnar_rps = n / columnar_s
@@ -199,12 +189,12 @@ def measure_zone_map(scalar: GeometricFile, columnar: GeometricFile, *,
 def query_smoke(*, records: int = DEFAULT_RECORDS,
                 batch_size: int = DEFAULT_BATCH, seed: int = 0,
                 rounds: int = DEFAULT_ROUNDS) -> dict:
-    """Run the whole columnar query benchmark; returns the report dict."""
+    """Run the whole slab query benchmark; returns the report dict."""
     spec = experiment_1(scale=0, seed=seed)
     schema = RecordSchema(spec.record_size)
     stream = _make_stream(schema, records, seed)
-    scalar, columnar = _ingest_twins(spec, stream, batch_size)
-    resident = columnar.sample_batch()
+    gf = _ingest(spec, stream, batch_size)
+    resident = gf.sample_batch()
     return {
         "benchmark": "columnar query smoke",
         "config": {
@@ -218,15 +208,15 @@ def query_smoke(*, records: int = DEFAULT_RECORDS,
         },
         "flush_encode": measure_flush_encode(schema, resident,
                                              rounds=rounds),
-        "query_aqp": measure_query_aqp(scalar, columnar, rounds=rounds),
-        "zone_map": measure_zone_map(scalar, columnar, rounds=rounds),
+        "query_aqp": measure_query_aqp(gf, rounds=rounds),
+        "zone_map": measure_zone_map(gf, rounds=rounds),
     }
 
 
 def render_query_report(report: dict) -> str:
     """Human-readable table of the query_smoke report dict."""
-    lines = ["columnar engine (records/second, wall clock)", ""]
-    lines.append(f"  {'path':<22} {'scalar':>14} {'columnar':>14} "
+    lines = ["record API vs slab API (records/second, wall clock)", ""]
+    lines.append(f"  {'path':<22} {'record':>14} {'slab':>14} "
                  f"{'speedup':>8}")
     for key in ("flush_encode", "query_aqp", "zone_map"):
         row = report[key]

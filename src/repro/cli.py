@@ -11,16 +11,14 @@ Benchmark reports all hang off one repeatable flag::
     --report KIND[=PATH]
 
 with KIND one of ``ingest`` (batch-ingest throughput), ``query``
-(columnar query/AQP), ``pipeline`` (flush overlap + elevator),
+(slab query/AQP), ``pipeline`` (flush overlap + elevator),
 ``shard`` (sharded-service ingest; honours ``--shards`` / ``--pool`` /
 ``--ipc``, and benchmarks both IPC transports head to head),
 ``serve`` (client/server load over the asyncio front-end), ``aqp``
 (the tiered planner's cache-hit speedup / hit-rate / bit-exactness
 gates), and ``law`` (the sampling-law engine: uniform twin parity and
 the weighted-ingest throughput ratio).  PATH
-defaults to ``BENCH_<KIND>.json``.  The legacy spellings
-(``--perf-smoke``, ``--query-report``, ``--pipeline``,
-``--shard-report``) still parse as hidden deprecated aliases.
+defaults to ``BENCH_<KIND>.json``.
 
 Observability: ``--metrics PATH`` dumps the full metrics registry
 (device counters mirrored per structure plus ``events.*`` totals) and
@@ -73,7 +71,7 @@ from .bench import (
     to_csv,
     write_report,
 )
-from .obs import MetricsRegistry, TraceSink, warn_deprecated
+from .obs import MetricsRegistry, TraceSink
 
 _EXPERIMENTS = {
     "fig7a": experiment_1,
@@ -150,25 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "file ('-' = stdout)")
     parser.add_argument("--no-chart", action="store_true",
                         help="skip the ASCII chart")
-    # -- deprecated aliases, hidden from --help ---------------------------
-    parser.add_argument("--perf-smoke", metavar="PATH", nargs="?",
-                        const=default_report_path("ingest"), default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--query-report", metavar="PATH", nargs="?",
-                        const=default_report_path("query"), default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--pipeline", metavar="PATH", nargs="?",
-                        const=default_report_path("pipeline"), default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--shard-report", metavar="PATH", default=None,
-                        help=argparse.SUPPRESS)
     return parser
 
 
 def _resolve_reports(parser: argparse.ArgumentParser,
                      args: argparse.Namespace) -> list[tuple[str, str]]:
-    """Fold ``--report`` entries and deprecated aliases into an ordered
-    ``(kind, path)`` run list."""
+    """Fold ``--report`` entries into an ordered ``(kind, path)`` run
+    list."""
     reports: list[tuple[str, str]] = []
     for entry in args.reports or []:
         kind, sep, path = entry.partition("=")
@@ -177,22 +163,7 @@ def _resolve_reports(parser: argparse.ArgumentParser,
                 f"unknown report kind {kind!r} "
                 f"(choose from {', '.join(REPORT_KINDS)})")
         reports.append((kind, path if sep else default_report_path(kind)))
-    alias_map = [
-        ("perf_smoke", "--perf-smoke", "ingest"),
-        ("query_report", "--query-report", "query"),
-        ("pipeline", "--pipeline", "pipeline"),
-    ]
-    for attr, flag, kind in alias_map:
-        path = getattr(args, attr)
-        if path is not None:
-            warn_deprecated(f"repro-bench {flag}",
-                            f"--report {kind}[=PATH]")
-            reports.append((kind, path))
-    if args.shard_report is not None:
-        warn_deprecated("repro-bench --shard-report",
-                        "--report shard[=PATH]")
-        reports.append(("shard", args.shard_report))
-    elif args.shards is not None and all(k != "shard" for k, _ in reports):
+    if args.shards is not None and all(k != "shard" for k, _ in reports):
         reports.append(("shard", default_report_path("shard")))
     if (args.experiment == "serve"
             and all(k != "serve" for k, _ in reports)):

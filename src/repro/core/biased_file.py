@@ -7,7 +7,7 @@ segment, and stack machinery is inherited verbatim from the unbiased
 structures.  What Section 7.3 adds is the weight bookkeeping:
 
 * every record's *effective weight* ``r.weight`` is stored with it
-  (here: a weights list parallel to each ledger's record list; on a
+  (here: a weights list parallel to each ledger's record slab; on a
   byte-backed deployment the weighted
   :class:`~repro.storage.records.RecordSchema` stores it in the
   record slot);
@@ -123,11 +123,26 @@ class BiasedSamplingMixin:
             offer(record)
         return self._samples_added - before
 
+    def offer_batch(self, batch) -> int:
+        """The protocol batch verb: Algorithm 4 through :meth:`offer_many`.
+
+        A :class:`~repro.storage.recordbatch.RecordBatch` is decoded
+        first; the inherited vectorised ``N/i`` gate would apply the
+        uniform law and leave every weight unset.
+        """
+        return self.offer_many(batch)
+
     def ingest(self, n: int) -> None:
         """Count-only ingestion is undefined for weighted streams."""
         raise TypeError(
             "biased sampling needs each record's weight; use offer()"
         )
+
+    def enable_aqp_cache(self, budget: int = 4096, *, seed: int = 0):
+        """Refused: the hot cache assumes a uniform stream sample."""
+        raise TypeError(
+            "AQP hot cache assumes a uniform stream sample; a biased "
+            "file maintains a weighted (Definition 1) sample")
 
     # -- weighted views -----------------------------------------------------------
 
@@ -140,9 +155,10 @@ class BiasedSamplingMixin:
         """
         for ledger in self._biased_ledgers():
             multiplier = self.multipliers.get(ledger.ident, 1.0)
-            records = ledger.records or []
-            weights = ledger.weights or []
-            for record, weight in zip(records, weights):
+            if ledger.records is None or ledger.weights is None:
+                continue
+            for record, weight in zip(ledger.records.to_records(),
+                                      ledger.weights):
                 yield record, multiplier * weight
 
     def true_weight_total(self) -> float:

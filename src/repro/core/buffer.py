@@ -15,21 +15,22 @@ buffered weight -- implemented with an epoch factor instead of an O(B)
 sweep, exactly as in
 :class:`~repro.sampling.biased_reservoir.BiasedReservoir`.
 
-Storage comes in three modes:
+Storage comes in two modes:
 
-* *object* (``retain_records=True``): a Python list of
-  :class:`~repro.storage.records.Record`;
-* *count-only* (``retain_records=False``): no storage at all;
-* *columnar* (``schema=...``): a preallocated structured-array slab of
-  ``capacity`` rows (:attr:`RecordSchema.dtype`).  Joins are row (or
-  slice) writes into the slab, :meth:`drain` hands back one
+* *retaining* (``retain_records=True``): a preallocated structured-array
+  slab of ``capacity`` rows over :attr:`RecordSchema.dtype` -- the same
+  packed layout the disk segments use.  Joins are row (or slice) writes
+  into the slab, :meth:`drain` hands back one
   :class:`~repro.storage.recordbatch.RecordBatch`, and the batch entry
   points (:meth:`extend_batch` / :meth:`absorb_batch`) absorb whole
-  column slices without materialising a single record object.  The
-  admission law is shared with the object mode -- the same decision
-  kernel runs against either storage -- so the two are
-  distributionally identical (tested).  Columnar buffers are
-  uniform-only; weighted sampling stays on the object path.
+  column slices without materialising a single record object.
+  Weighted (biased) buffers keep their per-slot effective weights in a
+  list beside the slab;
+* *count-only* (``retain_records=False``): no storage at all.
+
+The admission law is one decision kernel shared by every entry point,
+so record-at-a-time and batch ingestion are distributionally identical
+(tested).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record, RecordSchema
+from ..storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 
 _RENORMALIZE_ABOVE = 1e100
 
@@ -51,15 +52,15 @@ class SampleBuffer:
     Args:
         capacity: maximum records held (``|B|`` in the paper).
         rng: randomness for the in-buffer replacement draw.
-        retain_records: keep the actual record objects.  Count-only
-            mode (``False``) powers the large benchmark runs, where
-            per-record Python objects would dominate the cost of the
-            experiment without affecting any I/O behaviour.
+        retain_records: keep the records in the slab.  Count-only mode
+            (``False``) powers the large benchmark runs, where retained
+            records would dominate the cost of the experiment without
+            affecting any I/O behaviour.
         np_rng: numpy generator for the batched coin flips of
             :meth:`absorb_many`; derived deterministically from ``rng``
             when not supplied.
-        schema: switch to columnar slab storage over this record
-            schema (implies record retention; uniform-only).
+        schema: record layout of the slab; defaults to the header-only
+            layout (key, value, timestamp).
         aux_width: float64 auxiliary columns carried per record for
             non-uniform sampling laws (keys, stream positions).  Aux
             rows ride :meth:`append` / :meth:`replace` in lock-step
@@ -76,24 +77,18 @@ class SampleBuffer:
                  aux_width: int = 0) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
-        if schema is not None and schema.weighted:
-            raise ValueError("columnar buffers are uniform-only; weighted "
-                             "sampling stays on the object path")
         if aux_width < 0:
             raise ValueError("aux_width cannot be negative")
-        if aux_width and not (retain_records or schema is not None):
+        if aux_width and not retain_records:
             raise ValueError("aux columns require record retention")
         self.capacity = capacity
         self._rng = rng
         self._np_rng = np_rng
-        self._schema = schema
+        self._schema = (schema if schema is not None
+                        else RecordSchema(MIN_RECORD_SIZE))
         self._slab: np.ndarray | None = (
-            np.zeros(capacity, dtype=schema.dtype)
-            if schema is not None else None
-        )
-        self._retain = retain_records or schema is not None
-        self._records: list[Record] | None = (
-            [] if self._retain and schema is None else None
+            np.zeros(capacity, dtype=self._schema.dtype)
+            if retain_records else None
         )
         self._weights: list[float] | None = None
         self._aux: np.ndarray | None = (
@@ -115,32 +110,27 @@ class SampleBuffer:
 
     @property
     def retains_records(self) -> bool:
-        return self._retain
-
-    @property
-    def columnar(self) -> bool:
         return self._slab is not None
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[Record]:
-        if self._slab is not None:
-            return iter(RecordBatch(self._schema,
-                                    self._slab[:self._count]))
-        if self._records is None:
-            raise TypeError("buffer is running in count-only mode")
-        return iter(self._records)
+        return iter(self.pending_batch())
 
     def pending_view(self) -> np.ndarray:
-        """The live slab rows (columnar mode): a view, not a copy.
+        """The live slab rows: a view, not a copy.
 
         The query path concatenates this straight into its combined
         array; callers must not hold the view across a mutation.
         """
         if self._slab is None:
-            raise TypeError("buffer is not columnar")
+            raise TypeError("buffer is running in count-only mode")
         return self._slab[:self._count]
+
+    def pending_batch(self) -> RecordBatch:
+        """:meth:`pending_view` wrapped as a batch (same aliasing rule)."""
+        return RecordBatch(self._schema, self.pending_view())
 
     def weights(self) -> list[float]:
         """Current effective weights (scaled), weighted buffers only."""
@@ -160,6 +150,31 @@ class SampleBuffer:
 
     # -- mutation ---------------------------------------------------------
 
+    def _check_join(self, record: Record | None,
+                    weight: float | None) -> None:
+        """Validate one record-and-weight join before any state moves.
+
+        The first weighted join switches the buffer into weighted mode.
+        """
+        if weight is not None and self._weights is None:
+            if self._count > 0:
+                raise ValueError("cannot switch to weighted mode mid-fill")
+            self._weights = []
+        if self._slab is not None and record is None:
+            raise ValueError("record-retaining buffer needs the record")
+        if self._weights is not None and weight is None:
+            raise ValueError("weighted buffer requires a weight")
+
+    def _put(self, slot: int, record: Record | None,
+             weight: float | None) -> None:
+        if self._slab is not None:
+            self._slab[slot] = self._encode_row(record)
+        if self._weights is not None:
+            if slot == len(self._weights):
+                self._weights.append(weight / self._scale)
+            else:
+                self._weights[slot] = weight / self._scale
+
     def append(self, record: Record | None, weight: float | None = None,
                *, aux=None) -> None:
         """Add one record unconditionally (start-up phase).
@@ -176,35 +191,17 @@ class SampleBuffer:
             raise ValueError("buffer full; flush before appending more")
         if (aux is None) != (self._aux is None):
             raise TypeError("aux row and buffer aux_width must agree")
+        self._check_join(record, weight)
         if aux is not None:
             self._aux[self._count] = aux
-        if self._slab is not None:
-            if weight is not None:
-                raise TypeError("columnar buffers are uniform-only")
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._slab[self._count] = self._encode_row(record)
-            self._count += 1
-            return
-        if weight is not None and self._weights is None:
-            if self._count > 0:
-                raise ValueError("cannot switch to weighted mode mid-fill")
-            self._weights = []
-        if self._records is not None:
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.append(record)
-        if self._weights is not None:
-            if weight is None:
-                raise ValueError("weighted buffer requires a weight")
-            self._weights.append(weight / self._scale)
+        self._put(self._count, record, weight)
         self._count += 1
 
     def append_count(self, n: int) -> None:
         """Add ``n`` anonymous records (count-only fast path)."""
         if n < 0:
             raise ValueError("cannot append a negative count")
-        if self._retain:
+        if self._slab is not None:
             raise TypeError("buffer retains records; use append instead")
         if self._count + n > self.capacity:
             raise ValueError("append_count would overfill the buffer")
@@ -225,14 +222,11 @@ class SampleBuffer:
             raise TypeError("aux-carrying buffers do not replace in place")
         if record is None:
             raise ValueError("record-retaining buffer needs the record")
-        if self._slab is not None:
-            self._slab[slot] = self._encode_row(record)
-            return
-        if self._records is None:
+        if self._slab is None:
             raise TypeError("buffer is running in count-only mode")
         if self._weights is not None:
             raise TypeError("weighted buffers replace via add_admitted")
-        self._records[slot] = record
+        self._slab[slot] = self._encode_row(record)
 
     def add_admitted(self, record: Record | None, reservoir_size: int,
                      weight: float | None = None) -> bool:
@@ -257,42 +251,12 @@ class SampleBuffer:
         if self._aux is not None:
             raise TypeError("Algorithm 2 replacement is uniform-law-only; "
                             "aux-carrying buffers stage via append")
-        if self._slab is not None:
-            if weight is not None:
-                raise TypeError("columnar buffers are uniform-only")
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            # Same two draws, same order, as the object path below.
-            if (self._count > 0
-                    and self._rng.random() * reservoir_size < self._count):
-                self._slab[self._rng.randrange(self._count)] = (
-                    self._encode_row(record))
-                return False
-            self._slab[self._count] = self._encode_row(record)
-            self._count += 1
-            return True
-        if weight is not None and self._weights is None:
-            if self._count > 0:
-                raise ValueError("cannot switch to weighted mode mid-fill")
-            self._weights = []
+        self._check_join(record, weight)
         # In-buffer replacement with probability count / |R|.
         if self._count > 0 and self._rng.random() * reservoir_size < self._count:
-            slot = self._rng.randrange(self._count)
-            if self._records is not None and record is not None:
-                self._records[slot] = record
-            if self._weights is not None:
-                if weight is None:
-                    raise ValueError("weighted buffer requires a weight")
-                self._weights[slot] = weight / self._scale
+            self._put(self._rng.randrange(self._count), record, weight)
             return False
-        if self._records is not None:
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.append(record)
-        if self._weights is not None:
-            if weight is None:
-                raise ValueError("weighted buffer requires a weight")
-            self._weights.append(weight / self._scale)
+        self._put(self._count, record, weight)
         self._count += 1
         return True
 
@@ -300,7 +264,7 @@ class SampleBuffer:
         """Batch :meth:`append` for the start-up phase.
 
         No eviction branch exists while the reservoir is filling, so a
-        whole slice of admitted records joins in one list extension.
+        whole slice of admitted records joins as one slab slice write.
         Weighted buffers append per record (weights are per-record
         state).
         """
@@ -314,26 +278,13 @@ class SampleBuffer:
         if self._aux is not None:
             raise TypeError("aux-carrying buffers append per record")
         if self._slab is not None:
-            encode = self._encode_row
-            slab = self._slab
-            count = self._count
-            for i, record in enumerate(records):
-                if record is None:
-                    raise ValueError(
-                        "record-retaining buffer needs the record")
-                slab[count + i] = encode(record)
-            self._count = count + n
-            return
-        if self._records is not None:
-            if any(record is None for record in records):
-                raise ValueError("record-retaining buffer needs the record")
-            self._records.extend(records)
+            self._slab[self._count:self._count + n] = self._encode(records)
         self._count += n
 
     def extend_batch(self, batch: RecordBatch) -> None:
-        """Columnar :meth:`extend`: one slab slice copy (start-up phase)."""
-        if self._slab is None:
-            raise TypeError("buffer is not columnar; use extend")
+        """Batch :meth:`extend`: one slab slice copy (start-up phase)."""
+        if self._weights is not None:
+            raise TypeError("weighted buffers append per record")
         if self._aux is not None:
             raise TypeError("aux-carrying buffers append per record")
         n = len(batch)
@@ -341,7 +292,8 @@ class SampleBuffer:
             return
         if self._count + n > self.capacity:
             raise ValueError("extend would overfill the buffer")
-        self._slab[self._count:self._count + n] = batch.array
+        if self._slab is not None:
+            self._slab[self._count:self._count + n] = batch.array
         self._count += n
 
     def absorb_many(self, records: Sequence[Record | None],
@@ -362,6 +314,17 @@ class SampleBuffer:
         below the bound are resolved sequentially.  Identical output
         distribution to a loop of :meth:`add_admitted` calls (tested).
         """
+        return self._absorb(records, reservoir_size, start)
+
+    def absorb_batch(self, batch: RecordBatch, reservoir_size: int,
+                     *, start: int = 0) -> int:
+        """:meth:`absorb_many` over a batch: joins land as slab slice
+        copies, with no record object built or encoded.  Returns the
+        records consumed, like :meth:`absorb_many`.
+        """
+        return self._absorb(batch, reservoir_size, start)
+
+    def _absorb(self, rows, reservoir_size: int, start: int) -> int:
         if self.is_full:
             raise ValueError("buffer full; flush before admitting more")
         if self._weights is not None:
@@ -370,38 +333,9 @@ class SampleBuffer:
         if self._aux is not None:
             raise TypeError("Algorithm 2 replacement is uniform-law-only; "
                             "aux-carrying buffers stage via append")
-        n = len(records)
+        n = len(rows)
         if not 0 <= start <= n:
             raise ValueError(f"start {start} outside the batch of {n}")
-        consumed = 0
-        while start + consumed < n and not self.is_full:
-            room = self.capacity - self._count
-            chunk = min(n - start - consumed, max(2 * room, 64))
-            consumed += self._absorb_chunk(records, start + consumed,
-                                           chunk, reservoir_size)
-        return consumed
-
-    def absorb_batch(self, batch: RecordBatch, reservoir_size: int,
-                     *, start: int = 0) -> int:
-        """Columnar :meth:`absorb_many`: joins land as slab slice copies.
-
-        Runs the identical decision kernel (same RNG stream, same
-        admission law), then applies the joins as one fancy-index copy
-        from the batch's array per chunk instead of per-record
-        appends.  Returns the records consumed, like
-        :meth:`absorb_many`.
-        """
-        if self._slab is None:
-            raise TypeError("buffer is not columnar; use absorb_many")
-        if self._aux is not None:
-            raise TypeError("Algorithm 2 replacement is uniform-law-only; "
-                            "aux-carrying buffers stage via append")
-        if self.is_full:
-            raise ValueError("buffer full; flush before admitting more")
-        n = len(batch)
-        if not 0 <= start <= n:
-            raise ValueError(f"start {start} outside the batch of {n}")
-        array = batch.array
         consumed = 0
         while start + consumed < n and not self.is_full:
             room = self.capacity - self._count
@@ -409,19 +343,13 @@ class SampleBuffer:
             base = start + consumed
             took, count, replaces = self._absorb_decisions(
                 chunk, reservoir_size)
-            self._apply_absorb_array(array, base, took, replaces)
+            if self._slab is not None:
+                part = rows[base:base + took]
+                array = (part.array if isinstance(part, RecordBatch)
+                         else self._encode(part))
+                self._apply_absorb(array, took, replaces)
             self._count = count
             consumed += took
-        return consumed
-
-    def _absorb_chunk(self, records: Sequence[Record | None], base: int,
-                      m: int, reservoir_size: int) -> int:
-        consumed, count, replaces = self._absorb_decisions(m, reservoir_size)
-        if self._slab is not None:
-            self._apply_absorb_rows(records, base, consumed, replaces)
-        elif self._records is not None:
-            self._apply_absorb_list(records, base, consumed, replaces)
-        self._count = count
         return consumed
 
     def _absorb_decisions(self, m: int, reservoir_size: int
@@ -431,9 +359,7 @@ class SampleBuffer:
         Returns ``(consumed, count_after, replaces)`` where
         ``replaces`` lists confirmed in-buffer replacements as
         ``(batch index, buffer count at that moment)``; every other
-        consumed index is a join.  Consumes exactly the RNG stream the
-        original fused kernel did, so object and columnar storage see
-        identical decisions for identical seeds.
+        consumed index is a join.
         """
         if self._np_rng is None:
             self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
@@ -472,75 +398,38 @@ class SampleBuffer:
                 count += tail
         return consumed, count, replaces
 
-    def _apply_absorb_list(self, records: Sequence[Record | None],
-                           base: int, consumed: int,
-                           replaces: list[tuple[int, int]]) -> None:
-        if any(records[base + j] is None for j in range(consumed)):
-            raise ValueError("record-retaining buffer needs the record")
-        recs = self._records
-        position = 0
-        for j, _count_at in replaces:
-            recs.extend(records[base + position:base + j])
-            position = j + 1
-        recs.extend(records[base + position:base + consumed])
-        # Replaying the replacements after the joins is equivalent
-        # to interleaving: joins only append, and each replacement
-        # slot draw uses the buffer size of its own moment.
-        randrange = self._rng.randrange
-        for j, count_at in replaces:
-            recs[randrange(count_at)] = records[base + j]
+    def _apply_absorb(self, array: np.ndarray, consumed: int,
+                      replaces: list[tuple[int, int]]) -> None:
+        """Write one chunk's decisions into the slab.
 
-    def _apply_absorb_rows(self, records: Sequence[Record | None],
-                           base: int, consumed: int,
-                           replaces: list[tuple[int, int]]) -> None:
-        """Object-record application against the slab (the shim path)."""
-        slab = self._slab
-        encode = self._encode_row
-        position = 0
-        pos = self._count
-        for j, _count_at in replaces:
-            for i in range(position, j):
-                record = records[base + i]
-                if record is None:
-                    raise ValueError(
-                        "record-retaining buffer needs the record")
-                slab[pos] = encode(record)
-                pos += 1
-            position = j + 1
-        for i in range(position, consumed):
-            record = records[base + i]
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            slab[pos] = encode(record)
-            pos += 1
-        randrange = self._rng.randrange
-        for j, count_at in replaces:
-            record = records[base + j]
-            if record is None:
-                raise ValueError("record-retaining buffer needs the record")
-            slab[randrange(count_at)] = encode(record)
-
-    def _apply_absorb_array(self, array: np.ndarray, base: int,
-                            consumed: int,
-                            replaces: list[tuple[int, int]]) -> None:
-        """Columnar application: joins as one fancy-index slice copy."""
+        Joins land as one slice copy; replaying the replacements after
+        the joins is equivalent to interleaving, because joins only
+        append and each replacement slot draw uses the buffer size of
+        its own moment.
+        """
         slab = self._slab
         if not replaces:
-            slab[self._count:self._count + consumed] = (
-                array[base:base + consumed])
+            slab[self._count:self._count + consumed] = array[:consumed]
             return
         join_mask = np.ones(consumed, dtype=bool)
         for j, _count_at in replaces:
             join_mask[j] = False
-        joins = base + np.flatnonzero(join_mask)
+        joins = np.flatnonzero(join_mask)
         slab[self._count:self._count + joins.shape[0]] = array[joins]
         randrange = self._rng.randrange
         for j, count_at in replaces:
-            slab[randrange(count_at)] = array[base + j]
+            slab[randrange(count_at)] = array[j]
+
+    def _encode(self, records: Sequence[Record | None]) -> np.ndarray:
+        """Rows for a slice of records, through the scalar codec."""
+        if any(record is None for record in records):
+            raise ValueError("record-retaining buffer needs the record")
+        return np.frombuffer(self._schema.encode_batch(list(records)),
+                             dtype=self._schema.dtype)
 
     def _encode_row(self, record: Record):
         # One scalar-codec pack per row keeps slab bytes identical to
-        # what the object path would eventually encode.
+        # what a whole-segment encode would produce.
         return np.frombuffer(self._schema.encode(record),
                              dtype=self._schema.dtype)[0]
 
@@ -555,67 +444,41 @@ class SampleBuffer:
             self._weights = [w * self._scale for w in self._weights]
             self._scale = 1.0
 
-    def drain(self) -> tuple[list[Record] | None, list[float] | None, int]:
+    def drain(self) -> tuple[RecordBatch | None, list[float] | None, int]:
         """Empty the buffer, returning (records, weights, count).
 
-        Records come back *shuffled* -- the paper's flush step begins
-        "first randomize the ordering of the sampled records in the
-        buffer" (Section 4.3), and the ledger's pop-from-the-end
-        eviction rule depends on it.
-
-        Columnar buffers return a freshly-permuted
-        :class:`~repro.storage.recordbatch.RecordBatch` (the slab is
-        reused for the next fill) with ``weights`` always ``None``.
+        Records come back *shuffled* as a freshly-permuted
+        :class:`~repro.storage.recordbatch.RecordBatch` (``None`` in
+        count-only mode) -- the paper's flush step begins "first
+        randomize the ordering of the sampled records in the buffer"
+        (Section 4.3), and the ledger's pop-from-the-end eviction rule
+        depends on it.  Weights and aux rows are permuted with them.
 
         Double-buffering contract (:mod:`repro.pipeline`): the return
-        value never aliases live buffer storage -- the object path
-        copies the record list, and the columnar path's permutation is
-        a fancy-index *copy* of the slab, not a view.  The drained
-        result is therefore a *sealed* buffer: the ingest thread keeps
+        value never aliases live buffer storage -- the permutation is a
+        fancy-index *copy* of the slab, not a view.  The drained result
+        is therefore a *sealed* buffer: the ingest thread keeps
         admitting into this (now empty) buffer while the background
         writer drains the sealed one, with no shared mutable state.
         """
-        if self._slab is not None:
-            count = self._count
-            # Shuffle an index list through the *same* random.Random
-            # the object path shuffles its record list with: both modes
-            # consume identical RNG streams, so flush cadence and every
-            # downstream draw stay bit-exact between them.
-            order = list(range(count))
-            self._rng.shuffle(order)
-            index = np.asarray(order, dtype=np.intp)
-            batch = RecordBatch(self._schema, self._slab[:count][index])
-            if self._aux is not None:
-                self._drained_aux = self._aux[:count][index]
-            self._count = 0
-            return batch, None, count
         count = self._count
-        records = self._records
+        records = None
         weights = None
         if self._weights is not None:
             weights = [w * self._scale for w in self._weights]
-        if records is not None:
-            paired = (list(zip(records, weights)) if weights is not None
-                      else None)
-            if paired is not None:
-                self._rng.shuffle(paired)
-                records = [r for r, _ in paired]
-                weights = [w for _, w in paired]
-            elif self._aux is not None:
-                # Index-order shuffle: Fisher-Yates over an index list
-                # applies the same permutation (and consumes the same
-                # RNG stream) as shuffling the record list directly,
-                # and lets the aux rows ride along in lock-step.
-                order = list(range(count))
-                self._rng.shuffle(order)
-                records = [records[i] for i in order]
-                self._drained_aux = (
-                    self._aux[:count][np.asarray(order, dtype=np.intp)])
-            else:
-                records = list(records)
-                self._rng.shuffle(records)
+        if self._slab is not None:
+            # Fisher-Yates over an index list applies the same
+            # permutation, from the same RNG draws, as shuffling the
+            # records themselves; weights and aux rows ride along.
+            order = list(range(count))
+            self._rng.shuffle(order)
+            index = np.asarray(order, dtype=np.intp)
+            records = RecordBatch(self._schema, self._slab[:count][index])
+            if weights is not None:
+                weights = [weights[i] for i in order]
+            if self._aux is not None:
+                self._drained_aux = self._aux[:count][index]
         self._count = 0
-        self._records = [] if self._retain else None
         self._weights = [] if self._weights is not None else None
         self._scale = 1.0
         return records, weights, count

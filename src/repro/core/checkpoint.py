@@ -210,7 +210,7 @@ class CheckpointLog:
                 copy = dict(generation.state, ledgers=[], shapes=[],
                             dropped=[])
                 written = generation.written + _write_frame(
-                    sink.write, "delta", _state_line(copy), (), gf.schema)
+                    sink.write, "delta", _state_line(copy), ())
                 sink.flush()
                 os.fsync(sink.fileno())
             os.replace(temp_path, self.path)
@@ -310,8 +310,7 @@ def _write_generation(gf, write, meta: dict | None,
                          if ident not in out.entries])
     buffer = gf.buffer
     if buffer.retains_records:
-        records = (RecordBatch(schema, buffer.pending_view())
-                   if buffer.columnar else buffer._records)
+        records = buffer.pending_batch()
         aux = buffer.aux_view() if buffer.aux_width else None
         state["buffer"]["run"] = add_run(records, buffer._weights, aux)
         out.run_bytes += _run_bytes(schema, buffer.count, buffer._weights,
@@ -321,7 +320,7 @@ def _write_generation(gf, write, meta: dict | None,
     if base:
         out.base_state_bytes = len(state_line)
     out.written = _write_frame(write, "base" if base else "delta",
-                               state_line, runs, schema)
+                               state_line, runs)
     return out
 
 
@@ -340,8 +339,7 @@ def _state_line(state: dict) -> bytes:
     return json.dumps(state, separators=(",", ":")).encode("ascii")
 
 
-def _write_frame(write, kind: str, state_line: bytes, runs,
-                 schema) -> int:
+def _write_frame(write, kind: str, state_line: bytes, runs) -> int:
     """Write one CRC32-framed generation; returns its size in bytes."""
     length = crc = 0
 
@@ -357,18 +355,15 @@ def _write_frame(write, kind: str, state_line: bytes, runs,
         width = 0 if aux is None else aux.shape[1]
         put(b"RUN %d %d %d %d " % (run_id, len(records),
                                    weights is not None, width))
-        put(base64.b64encode(_pack(schema, records, weights, aux)) + b"\n")
+        put(base64.b64encode(_pack(records, weights, aux)) + b"\n")
     trailer = b"END %d %08x\n" % (length, crc)
     write(trailer)
     return length + len(trailer)
 
 
-def _pack(schema, records, weights, aux) -> bytes:
+def _pack(records, weights, aux) -> bytes:
     """One run's bytes: packed rows, then the weight and aux columns."""
-    if isinstance(records, RecordBatch):
-        parts = [records.to_bytes()]
-    else:
-        parts = [schema.encode_batch(records)]
+    parts = [records.to_bytes()]
     if weights is not None:
         parts.append(np.asarray(weights, dtype="<f8").tobytes())
     if aux is not None:
@@ -493,11 +488,9 @@ def _read_log(source: IO, device: BlockDevice, weight_fn) -> tuple:
     except KeyError as missing:
         raise ValueError(f"checkpoint generation references run {missing} "
                          "that the log does not hold") from None
-    columnar = getattr(gf, "columnar", False)
     for run_id, live, ledger in pending:
         source.seek(offsets[run_id])
-        records, weights, aux, rows = _unpack(gf.schema, readline(), live,
-                                              columnar)
+        records, weights, aux, rows = _unpack(gf.schema, readline(), live)
         restored.run_bytes += _run_bytes(gf.schema, live, weights, aux)
         if ledger is None:
             _restore_buffer(gf.buffer, records, weights,
@@ -553,17 +546,14 @@ def _read_frame(readline, tell):
             return None
 
 
-def _unpack(schema, line: bytes, live: int, columnar: bool) -> tuple:
+def _unpack(schema, line: bytes, live: int) -> tuple:
     """Decode one run line; returns ``(records, weights, aux, rows)``
     for its first ``live`` rows."""
     _, _, rows, weighted, width, payload = line.split(b" ", 5)
     rows, weighted, width = int(rows), int(weighted), int(width)
     blob = base64.b64decode(payload)
-    array = np.frombuffer(blob, dtype=schema.dtype, count=live)
-    if columnar:
-        records = RecordBatch(schema, array.copy())
-    else:
-        records = RecordBatch(schema, array).to_records()
+    records = RecordBatch(
+        schema, np.frombuffer(blob, dtype=schema.dtype, count=live).copy())
     offset = rows * schema.record_size
     weights = aux = None
     if weighted:
@@ -578,6 +568,9 @@ def _unpack(schema, line: bytes, live: int, columnar: bool) -> tuple:
 
 def _build(state: dict, device: BlockDevice, weight_fn):
     kind = state["kind"]
+    # Logs written before the slab became the only record store carry
+    # a ``columnar`` flag; it no longer selects anything.
+    state["config"].pop("columnar", None)
     if kind in ("BiasedGeometricFile", "BiasedMultipleGeometricFiles"):
         if weight_fn is None:
             raise ValueError("restoring a biased file requires weight_fn")
@@ -655,12 +648,9 @@ def _decode_ledger(fields: dict, sizes: list,
 def _restore_buffer(buffer, records, weights, scale: float,
                     aux) -> None:
     count = len(records)
-    if buffer.columnar:
-        buffer._slab[:count] = records.array
-    else:
-        buffer._records = records
-        buffer._weights = weights
-        buffer._scale = scale
+    buffer._slab[:count] = records.array
+    buffer._weights = weights
+    buffer._scale = scale
     if aux is not None:
         buffer._aux[:count] = aux
     buffer._count = count

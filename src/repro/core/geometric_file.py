@@ -66,8 +66,12 @@ class GeometricFileConfig:
             the system block size", Section 5.2).
         stack_multiplier: stack region size as a multiple of
             ``sqrt(B)``; the paper picks 3 for a ~1e-9 overflow chance.
-        retain_records: keep actual record payloads in memory ledgers
-            (tests / small runs).  Count-only mode powers paper-scale
+        retain_records: keep the records themselves: the buffer is a
+            structured-array slab, ledgers hold
+            :class:`~repro.storage.recordbatch.RecordBatch` slices, and
+            flushes encode whole segments in one call (writing real
+            bytes on byte-storing devices; every I/O charge is the same
+            as a count-only write).  Count-only mode powers paper-scale
             benchmarks.
         admission: see :class:`~repro.reservoir.StreamReservoir`.
         extra_seeks_per_segment: additional random head movements
@@ -76,15 +80,6 @@ class GeometricFileConfig:
             The default of 2 lands the total at the paper's "around
             four disk seeks to write" per segment (Section 5.1);
             set to 0 to model perfectly aligned segments.
-        columnar: run the columnar record engine: the buffer becomes a
-            structured-array slab, ledgers hold
-            :class:`~repro.storage.recordbatch.RecordBatch` slices,
-            flushes encode whole segments in one call (and write real
-            bytes on byte-storing devices), and ``sample_batch`` /
-            ``snapshot_batch`` answer queries without materialising
-            record objects.  Implies ``retain_records``.  Every I/O
-            charge is identical to the scalar path (tested bit-exactly
-            against :class:`~repro.storage.disk_model.DiskStats`).
         pipeline: run flushes on a background writer thread (double
             buffering: ingestion refills a fresh buffer while the
             writer drains the sealed one).  Off by default; the
@@ -119,7 +114,6 @@ class GeometricFileConfig:
     retain_records: bool = False
     admission: AdmissionMode = "always"
     extra_seeks_per_segment: int = 2
-    columnar: bool = False
     pipeline: bool = False
     io_scheduler: str = "fifo"
     stream_rate: float | None = None
@@ -127,10 +121,6 @@ class GeometricFileConfig:
     law_params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.columnar and not self.retain_records:
-            # Columnar mode *is* a record-retention mode; forcing the
-            # flag keeps every existing retain_records check truthful.
-            object.__setattr__(self, "retain_records", True)
         if self.law not in LAW_NAMES:
             raise ValueError(f"unknown sampling law {self.law!r}; "
                              f"expected one of {LAW_NAMES}")
@@ -144,7 +134,7 @@ class GeometricFileConfig:
         if self.law != "uniform" and not self.retain_records:
             raise ValueError(
                 f"law {self.law!r} picks victims by record content; "
-                "set retain_records=True (or columnar=True)")
+                "set retain_records=True")
         if self.buffer_capacity < 2:
             raise ValueError("buffer must hold at least two records")
         if self.capacity <= self.buffer_capacity:
@@ -223,12 +213,11 @@ class GeometricFile(StreamReservoir):
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None),
+                                   schema=self.schema,
                                    aux_width=law.aux_width)
         #: Encode real segment payloads only when the device can hand
         #: them back; cost-only devices keep the write_zeros charge.
-        self._store_bytes = (config.columnar
+        self._store_bytes = (config.retain_records
                              and device_stores_bytes(device))
         self.subsamples: list[SubsampleLedger] = []
         self._victim_scratch = VictimScratch()
@@ -291,59 +280,10 @@ class GeometricFile(StreamReservoir):
     def n_subsamples(self) -> int:
         return len(self.subsamples)
 
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """The current reservoir contents (record-retaining mode only).
-
-        At flush boundaries this is exactly the disk-resident sample; in
-        between, each buffered record's deferred disk eviction is
-        applied so the returned list is a valid size-``min(N, seen)``
-        sample at any instant.
-
-        Args:
-            k: optionally thin to a uniform ``k``-subset (the
-                :class:`~repro.core.protocols.Reservoir` protocol
-                form); ``None`` returns the full reservoir.
-            rng: optional ``random.Random`` used for the deferred-
-                eviction (and thinning) draw.  Queries that must not
-                perturb the structure's own RNG stream (checkpoint
-                replay continues bit-exactly only if ingestion alone
-                consumes it -- the sharded service's recovery contract)
-                pass a dedicated query RNG here.
-        """
-        self.flush_barrier()
+    def _materialize(self, gen: np.random.Generator) -> np.ndarray:
         if not self.config.retain_records:
             raise TypeError("file is running in count-only mode")
-        full = self._law.materialize(
-            self, rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)
-
-    def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """The current reservoir as one :class:`RecordBatch` (columnar).
-
-        Pure-array analogue of :meth:`sample`: ledger slabs are
-        concatenated in one call, the deferred buffer evictions land as
-        a single fancy-index overwrite, and no record objects exist
-        anywhere.  Requires ``columnar=True``.
-
-        Args:
-            k: optionally thin to a uniform ``k``-subset.
-            rng: optional ``numpy.random.Generator`` for the deferred-
-                eviction and subset draws (queries that must not
-                perturb the structure's own RNG stream pass one).
-        """
-        self.flush_barrier()
-        if not self.columnar:
-            if not self.config.retain_records:
-                raise TypeError("file is running in count-only mode")
-            return super().sample_batch(k, rng=rng)
-        gen = rng if rng is not None else self._np_rng
-        combined = self._law.materialize_batch(self, gen)
-        return self._thin_batch(RecordBatch(self.schema, combined), k, rng)
-
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+        return self._law.materialize_batch(self, gen)
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law; used heavily by tests."""
@@ -375,9 +315,6 @@ class GeometricFile(StreamReservoir):
         self._law.place_many(self, records)
 
     def _admit_batch(self, batch: RecordBatch) -> None:
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
         self._law.place_batch(self, batch)
 
     def _admit_count(self, n: int) -> None:
@@ -469,7 +406,7 @@ class GeometricFile(StreamReservoir):
                    phase="steady")
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: list[Record] | None) -> SubsampleLedger:
+                    records: RecordBatch | None) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),

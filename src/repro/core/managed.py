@@ -162,7 +162,7 @@ class ManagedSample:
         """Present a batch (``RecordBatch`` or sequence of records).
 
         Explicit (rather than ``__getattr__``-delegated) so the
-        checkpoint schedule sees columnar ingestion too.
+        checkpoint schedule sees batch ingestion too.
         """
         admitted = self.structure.offer_batch(batch)
         self._maybe_checkpoint()

@@ -128,10 +128,9 @@ class MultipleGeometricFiles(StreamReservoir):
         self.buffer = SampleBuffer(config.buffer_capacity, self._rng,
                                    retain_records=config.retain_records,
                                    np_rng=self._np_rng,
-                                   schema=(self.schema if config.columnar
-                                           else None),
+                                   schema=self.schema,
                                    aux_width=law.aux_width)
-        self._store_bytes = (config.columnar
+        self._store_bytes = (config.retain_records
                              and device_stores_bytes(device))
         self._victim_scratch = VictimScratch()
         self._startup_sizes = startup_fill_sizes(
@@ -229,32 +228,10 @@ class MultipleGeometricFiles(StreamReservoir):
         hook)."""
         return self._all_ledgers()
 
-    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
-        """Current reservoir contents; see
-        :meth:`~repro.core.geometric_file.GeometricFile.sample`."""
-        self.flush_barrier()
+    def _materialize(self, gen: np.random.Generator) -> np.ndarray:
         if not self.config.retain_records:
             raise TypeError("files are running in count-only mode")
-        full = self._law.materialize(
-            self, rng if rng is not None else self._rng)
-        return self._thin_records(full, k, rng)
-
-    def sample_batch(self, k: int | None = None, *, rng=None) -> RecordBatch:
-        """Current reservoir as one :class:`RecordBatch`; see
-        :meth:`~repro.core.geometric_file.GeometricFile.sample_batch`."""
-        self.flush_barrier()
-        if not self.columnar:
-            if not self.config.retain_records:
-                raise TypeError("files are running in count-only mode")
-            return super().sample_batch(k, rng=rng)
-        gen = rng if rng is not None else self._np_rng
-        combined = self._law.materialize_batch(self, gen)
-        return self._thin_batch(RecordBatch(self.schema, combined), k, rng)
-
-    @property
-    def columnar(self) -> bool:
-        """True when the columnar record engine is active."""
-        return self.config.columnar
+        return self._law.materialize_batch(self, gen)
 
     def check_invariants(self) -> None:
         """Assert every ledger's conservation law and the global size."""
@@ -287,9 +264,6 @@ class MultipleGeometricFiles(StreamReservoir):
         self._law.place_many(self, records)
 
     def _admit_batch(self, batch: RecordBatch) -> None:
-        if not self.columnar:
-            super()._admit_batch(batch)
-            return
         self._law.place_batch(self, batch)
 
     def _admit_count(self, n: int) -> None:
@@ -414,7 +388,7 @@ class MultipleGeometricFiles(StreamReservoir):
                    phase="steady", file=file.index)
 
     def _new_ledger(self, sizes: list[int], first_level: int, tail: int,
-                    records: list[Record] | None) -> SubsampleLedger:
+                    records: RecordBatch | None) -> SubsampleLedger:
         ledger = SubsampleLedger(
             self._next_ident, sizes, first_level, tail, records,
             stack_capacity=self.config.stack_records(),

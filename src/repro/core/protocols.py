@@ -28,12 +28,13 @@ Method contract (normative; see docs/API.md for the narrative form):
     admitted (always ``len(records)`` under ``admission="always"``).
     This is the canonical batch verb; ``offer_many`` survives on
     :class:`~repro.reservoir.StreamReservoir` as the documented
-    list-only fast path, and as a deprecated alias elsewhere.
+    list-only fast path.
 ``sample(k=None) -> list[Record]``
     A uniform random sample of the stream seen so far: the full
     reservoir when ``k`` is ``None``, else a uniform ``k``-subset.
 ``sample_batch(k=None) -> RecordBatch``
-    The columnar twin of ``sample``.
+    ``sample`` as an undecoded slab; ``sample`` is this followed by
+    decoding only the returned rows.
 ``snapshot(k=None) -> (list[Record], int)``
     ``sample(k)`` plus the stream position it covers -- the population
     count AQP estimators scale by.
@@ -80,7 +81,7 @@ class Reservoir(Protocol):
         ...
 
     def sample_batch(self, k=None):
-        """The current sample as a columnar ``RecordBatch``."""
+        """The current sample as an undecoded ``RecordBatch``."""
         ...
 
     def snapshot(self, k=None):

@@ -40,8 +40,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..storage.records import Record
-
 if TYPE_CHECKING:
     from ..storage.recordbatch import RecordBatch
 
@@ -69,13 +67,10 @@ class SubsampleLedger:
             ``segment_sizes`` (initial subsamples created during
             start-up begin part-way down the ladder, Figure 3 b-c).
         tail_size: records of the in-memory group.
-        records: the actual live records, when the caller retains them
-            (tests, small runs); ``None`` for count-only operation.
-            Either a plain list or, under the columnar engine, a
-            :class:`~repro.storage.recordbatch.RecordBatch` -- the
-            ledger only ever measures (``len``), truncates (tail
-            ``del``), and iterates, which both containers support.
-            When given, the container must already be in uniform random
+        records: the live records as a
+            :class:`~repro.storage.recordbatch.RecordBatch` slab, when
+            the caller retains them; ``None`` for count-only operation.
+            When given, the slab must already be in uniform random
             order -- evictions pop from the end, which is a uniform
             choice for an exchangeable (pre-shuffled) sequence.
         stack_capacity: physical stack region size in records
@@ -91,7 +86,7 @@ class SubsampleLedger:
 
     def __init__(self, ident: int, segment_sizes: Iterable[int],
                  first_level: int, tail_size: int,
-                 records: "list[Record] | RecordBatch | None" = None,
+                 records: "RecordBatch | None" = None,
                  stack_capacity: int | None = None) -> None:
         self.ident = ident
         self._sizes = list(segment_sizes)
@@ -266,11 +261,7 @@ class SubsampleLedger:
             raise ValueError("eviction indices must be distinct and in "
                              "range")
         self.live -= k
-        if isinstance(self.records, list):
-            self.records = [r for r, alive in zip(self.records, keep)
-                            if alive]
-        else:  # RecordBatch
-            self.records = self.records.take(np.flatnonzero(keep))
+        self.records = self.records.take(np.flatnonzero(keep))
         if self.weights is not None:
             self.weights = [w for w, alive in zip(self.weights, keep)
                             if alive]

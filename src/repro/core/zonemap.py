@@ -28,7 +28,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..obs.deprecation import warn_deprecated
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record
 from .geometric_file import GeometricFile
@@ -85,7 +84,7 @@ class ZoneMapIndex:
         if not gf.config.retain_records:
             raise ValueError("zone maps need a record-retaining file")
         #: Structured-array column name, when the indexed field is one
-        #: (enables the columnar fast paths); ``None`` for a custom
+        #: (enables the vectorised paths); ``None`` for a custom
         #: extractor, which must see decoded records.
         self._field: str | None = None
         if extractor is None:
@@ -111,16 +110,6 @@ class ZoneMapIndex:
     def stats(self) -> ZoneMapStats:
         """Pruning statistics of the most recent :meth:`query`."""
         return self._last_stats
-
-    @property
-    def last_stats(self) -> ZoneMapStats:
-        """Deprecated: use :meth:`stats`."""
-        warn_deprecated("ZoneMapIndex.last_stats", "stats()")
-        return self._last_stats
-
-    @last_stats.setter
-    def last_stats(self, value: ZoneMapStats) -> None:
-        self._last_stats = value
 
     def instrument(self, registry, trace=None, *, name: str = "zone map") -> None:
         """Attach observers; each completed query emits ``zone_query``.
@@ -155,10 +144,10 @@ class ZoneMapIndex:
             alive.add(ledger.ident)
             if ledger.ident in self._envelopes or not ledger.records:
                 continue
-            column = self._column_of(ledger.records)
-            if column is not None:
-                # Columnar slab + named field: the envelope is one
-                # vectorised min/max over the value column.
+            if self._field is not None:
+                # Named field: the envelope is one vectorised min/max
+                # over the slab's column.
+                column = ledger.records.column(self._field)
                 self._envelopes[ledger.ident] = _Envelope(
                     float(column.min()), float(column.max())
                 )
@@ -169,16 +158,6 @@ class ZoneMapIndex:
         for ident in list(self._envelopes):
             if ident not in alive:
                 del self._envelopes[ident]
-
-    def _column_of(self, records) -> np.ndarray | None:
-        """The indexed column of a RecordBatch, or None for lists /
-        custom extractors."""
-        if self._field is None:
-            return None
-        array = getattr(records, "array", None)
-        if array is None:
-            return None
-        return array[self._field]
 
     def query(self, low: float, high: float) -> Iterator[Record]:
         """Records with the indexed field in ``[low, high]``.
@@ -206,19 +185,18 @@ class ZoneMapIndex:
             if envelope is None or not envelope.intersects(low, high):
                 continue
             stats.subsamples_scanned += 1
-            for record in ledger.records or ():
+            for record in ledger.records:
                 stats.records_scanned += 1
                 value = self._extract(record)
                 if low <= value <= high:
                     stats.records_matched += 1
                     yield record
-        if self._gf.buffer.retains_records:
-            for record in self._gf.buffer:
-                stats.records_scanned += 1
-                value = self._extract(record)
-                if low <= value <= high:
-                    stats.records_matched += 1
-                    yield record
+        for record in self._gf.buffer:
+            stats.records_scanned += 1
+            value = self._extract(record)
+            if low <= value <= high:
+                stats.records_matched += 1
+                yield record
         self._emit_query(stats)
 
     def query_batch(self, low: float, high: float) -> RecordBatch:
@@ -228,11 +206,9 @@ class ZoneMapIndex:
         :class:`ZoneMapStats` accounting are identical to
         :meth:`query`; the per-record extractor loop is replaced by a
         vectorised compare-and-compress per scanned subsample.
-        Requires a columnar file and a named (non-extractor) field.
+        Requires a named (non-extractor) field.
         """
         gf = self._gf
-        if not getattr(gf, "columnar", False):
-            raise TypeError("query_batch needs a columnar geometric file")
         if self._field is None:
             raise TypeError(
                 "query_batch needs a named field; custom extractors "

@@ -207,11 +207,11 @@ class HotSubsample:
 
     # -- refresh / repair ----------------------------------------------------
 
-    def refresh(self, sample, seen: int) -> None:
+    def refresh(self, batch: RecordBatch, seen: int) -> None:
         """Re-seed the cache from a uniform draw of the whole stream.
 
-        ``sample`` is a fresh engine draw (a :class:`RecordBatch` or a
-        record list) representing stream position ``seen``.  The draw
+        ``batch`` is a fresh engine draw representing stream position
+        ``seen``, in the cache's record layout.  The draw
         is shuffled into exchangeable order and, when larger than the
         budget, thinned through a tail-only
         :class:`~repro.core.subsample.SubsampleLedger` -- ``evict``
@@ -219,12 +219,10 @@ class HotSubsample:
         sequence, which is exactly the ledger's documented eviction
         contract.  Restores coherence.
         """
-        if isinstance(sample, RecordBatch):
-            batch = sample
-            if batch.schema.dtype != self.schema.dtype:
-                batch = RecordBatch.from_records(self.schema, list(batch))
-        else:
-            batch = RecordBatch.from_records(self.schema, list(sample))
+        if batch.schema != self.schema:
+            raise ValueError(f"draw schema {batch.schema.record_size} B "
+                             f"does not match the cache's "
+                             f"{self.schema.record_size} B layout")
         if seen < len(batch):
             raise ValueError("stream position smaller than the draw")
         slab = batch.take(self._rng.permutation(len(batch)))
@@ -566,7 +564,8 @@ class QueryPlanner:
         return None
 
     def _draw(self, k: int | None):
-        """One engine snapshot, columnar when the engine can."""
+        """One engine snapshot as a batch, undecoded when the engine
+        answers ``snapshot_batch``."""
         try:
             if self._snapshot_batch is not None:
                 return self._snapshot_batch(k)
@@ -576,7 +575,7 @@ class QueryPlanner:
             # answerable engine default.
             return self._snapshot_batch(None)
         except TypeError:
-            self._snapshot_batch = None  # engine has no columnar path
+            self._snapshot_batch = None  # engine has no batch query
         records, seen = self.engine.snapshot(k)
         return RecordBatch.from_records(self.cache.schema, records), seen
 

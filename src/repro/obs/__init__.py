@@ -25,7 +25,6 @@ Attaching observers never charges simulated I/O: instrumented and
 uninstrumented runs produce bit-identical clocks (tested).
 """
 
-from .deprecation import reset_deprecation_warnings, warn_deprecated
 from .metrics import (
     Counter,
     Gauge,
@@ -49,7 +48,5 @@ __all__ = [
     "TraceEvent",
     "TraceSink",
     "aggregate_stats",
-    "reset_deprecation_warnings",
     "stats_from_dict",
-    "warn_deprecated",
 ]

@@ -22,6 +22,13 @@ Three ingestion paths exist:
   charge all I/O exactly as ``offer`` would, but skip per-record Python
   objects.  See DESIGN.md on scale substitution.
 
+Retained records (``retain_records=True``) are always packed
+:attr:`~repro.storage.records.RecordSchema.dtype` rows -- buffer,
+ledgers and fill phase are slabs, never lists of record objects.
+Queries follow: :meth:`StreamReservoir.sample_batch` assembles the
+sample as rows, and :meth:`StreamReservoir.sample` decodes only the
+rows it returns.
+
 Admission follows Algorithm 1: record ``i`` of the stream enters with
 probability ``N / i`` (``mode="uniform"``).  The paper's throughput
 experiments instead assume "every record produced by the stream was
@@ -38,7 +45,6 @@ from typing import Literal
 
 import numpy as np
 
-from .obs.deprecation import warn_deprecated
 from .obs.stats import ReservoirStats
 from .storage.records import Record
 
@@ -219,6 +225,22 @@ def _balanced_split(lives: list[int], total: int) -> int:
     return min(max(1, split), len(lives) - 1)
 
 
+def query_generator(rng, default: np.random.Generator
+                    ) -> np.random.Generator:
+    """The numpy generator a query draws from.
+
+    ``None`` selects ``default`` (the structure's own stream); a
+    ``random.Random`` seeds a fresh generator from 64 of its bits, so
+    callers holding a dedicated Python query RNG keep a deterministic,
+    segregated stream.
+    """
+    if rng is None:
+        return default
+    if isinstance(rng, random.Random):
+        return np.random.default_rng(rng.getrandbits(64))
+    return rng
+
+
 class StreamReservoir(abc.ABC):
     """A fixed-capacity disk-resident sample fed online from a stream.
 
@@ -263,7 +285,7 @@ class StreamReservoir(abc.ABC):
         #: disk-backed subclasses; None for purely in-memory paths.
         self._engine = None
         # Stream position (records offered) and admissions; exposed
-        # through stats() and the deprecated seen/samples_added shims.
+        # through stats().
         self._seen = 0
         self._samples_added = 0
         # Hot AQP subsample (repro.estimate.planner.HotSubsample),
@@ -442,35 +464,6 @@ class StreamReservoir(abc.ABC):
         if self._trace is not None:
             self._trace.emit(kind, self._obs_name, self._clock(), **fields)
 
-    # -- deprecated accessors ----------------------------------------------
-
-    @property
-    def seen(self) -> int:
-        """Deprecated: use ``stats().seen``."""
-        warn_deprecated("StreamReservoir.seen", "stats().seen")
-        return self._seen
-
-    @seen.setter
-    def seen(self, value: int) -> None:
-        self._seen = value
-
-    @property
-    def samples_added(self) -> int:
-        """Deprecated: use ``stats().samples_added``."""
-        warn_deprecated("StreamReservoir.samples_added",
-                        "stats().samples_added")
-        return self._samples_added
-
-    @samples_added.setter
-    def samples_added(self, value: int) -> None:
-        self._samples_added = value
-
-    @property
-    def clock(self) -> float:
-        """Deprecated: use ``stats().clock``."""
-        warn_deprecated("StreamReservoir.clock", "stats().clock")
-        return self._clock()
-
     # -- hot AQP subsample ---------------------------------------------------
 
     def enable_aqp_cache(self, budget: int = 4096, *, seed: int = 0):
@@ -564,14 +557,13 @@ class StreamReservoir(abc.ABC):
         :class:`~repro.storage.recordbatch.RecordBatch` or any plain
         sequence of records -- the one batch entry point the unified
         :class:`~repro.core.protocols.Reservoir` protocol names.  A
-        ``RecordBatch`` takes the columnar twin of :meth:`offer_many`:
-        the admission mask is the same single vectorised draw, but the
-        admitted records stay a column slab end to end -- they reach
-        the structure through :meth:`_admit_batch`, which columnar
-        structures implement with slice copies (structures without a
-        columnar path decode once and fall through to
-        :meth:`_admit_many`; identical admission law either way).  A
-        plain sequence routes to :meth:`offer_many` unchanged.
+        ``RecordBatch`` takes the slab twin of :meth:`offer_many`: the
+        admission mask is the same single vectorised draw, but the
+        admitted records stay a slab end to end -- they reach the
+        structure through :meth:`_admit_batch` as slice copies
+        (structures without a slab hook decode once and fall through
+        to :meth:`_admit_many`; identical admission law either way).
+        A plain sequence routes to :meth:`offer_many` unchanged.
 
         Returns:
             The number of records admitted into the reservoir.
@@ -597,13 +589,13 @@ class StreamReservoir(abc.ABC):
                 self._admit_batch(admitted)
             else:
                 # Record-decoding laws hand back a plain list; route it
-                # through the object batch hook.
+                # through the list batch hook.
                 self._admit_many(admitted if isinstance(admitted, list)
                                  else list(admitted))
         return count
 
     def _admit_batch(self, batch) -> None:
-        """Columnar admit hook; the default decodes to the object path."""
+        """Slab admit hook; the default decodes to :meth:`_admit_many`."""
         self._admit_many(list(batch))
 
     # -- protocol queries --------------------------------------------------
@@ -633,64 +625,59 @@ class StreamReservoir(abc.ABC):
         """
         self.flush_barrier()
 
-    def _thin_records(self, records, k: int | None, rng=None):
-        """Uniformly thin a record list to ``k`` (shared query helper).
+    # -- queries -----------------------------------------------------------
 
-        ``rng`` is the optional ``random.Random`` query generator the
-        caller's ``sample()`` already threads through; ``None`` falls
-        back to the structure's own stream, matching
-        :meth:`apply_pending`'s convention.
+    def sample(self, k: int | None = None, *, rng=None) -> list[Record]:
+        """The current sample as record objects.
+
+        :meth:`sample_batch` followed by decoding only the rows it
+        returns, so ``sample(64)`` builds 64 records whatever the
+        reservoir size.  Structures running count-only raise
+        ``TypeError``.
         """
-        if k is None:
-            return records
-        if k > len(records):
-            raise ValueError(
-                f"cannot draw {k} records from a sample of {len(records)}")
-        gen = rng if rng is not None else self._rng
-        return gen.sample(records, k)
-
-    # -- columnar queries --------------------------------------------------
+        return self.sample_batch(k, rng=rng).to_records()
 
     def sample_batch(self, k: int | None = None, *, rng=None):
         """The current sample as a :class:`RecordBatch`.
 
-        The base implementation is a decode shim over :meth:`sample`
-        (available wherever ``sample()`` is); columnar structures
-        override it with a pure-array path that never materialises
-        record objects.
+        At flush boundaries this is exactly the disk-resident sample; in
+        between, each buffered record's deferred disk eviction is
+        applied so the result is a valid size-``min(N, seen)`` sample at
+        any instant.
 
         Args:
-            k: optionally thin to a uniform ``k``-subset.
-            rng: optional ``numpy.random.Generator`` for the subset
-                draw (and, in columnar overrides, the deferred-eviction
-                draw), so queries need not perturb the structure's own
-                RNG stream.
+            k: optionally thin to a uniform ``k``-subset (in uniformly
+                random order); ``None`` returns the full reservoir.
+            rng: optional query generator for the deferred-eviction and
+                subset draws -- a ``numpy.random.Generator``, or a
+                ``random.Random`` from which one is seeded.  Queries
+                that must not perturb the structure's own RNG streams
+                (checkpoint replay continues bit-exactly only if
+                ingestion alone consumes them) pass one.
         """
         from .storage.recordbatch import RecordBatch
 
-        schema = getattr(self, "schema", None)
-        if schema is None:
-            raise TypeError(f"{self.name} has no record schema; "
-                            "sample_batch is unavailable")
-        batch = RecordBatch.from_records(schema, self.sample())
-        return self._thin_batch(batch, k, rng)
-
-    def snapshot_batch(self, k: int | None = None, *, rng=None):
-        """(:meth:`sample_batch` result, stream position) in one call.
-
-        The columnar twin of the sharded service's ``snapshot``: the
-        returned ``seen`` count is what merge allocation weighs.
-        """
-        return self.sample_batch(k, rng=rng), self._seen
-
-    def _thin_batch(self, batch, k: int | None, rng):
+        self.flush_barrier()
+        gen = query_generator(rng, self._np_rng)
+        batch = RecordBatch(self.schema, self._materialize(gen))
         if k is None:
             return batch
         if k > len(batch):
             raise ValueError(
                 f"cannot draw {k} records from a sample of {len(batch)}")
-        gen = rng if rng is not None else self._np_rng
         return batch.take(gen.choice(len(batch), size=k, replace=False))
+
+    def _materialize(self, gen: np.random.Generator) -> np.ndarray:
+        """The whole current sample as slab rows (subclass hook)."""
+        raise TypeError(f"{self.name} retains no records")
+
+    def snapshot_batch(self, k: int | None = None, *, rng=None):
+        """(:meth:`sample_batch` result, stream position) in one call.
+
+        The slab twin of :meth:`snapshot`: the returned ``seen`` count
+        is what merge allocation weighs.
+        """
+        return self.sample_batch(k, rng=rng), self._seen
 
     def ingest(self, n: int) -> None:
         """Present ``n`` stream records (count-only fast path)."""
@@ -753,36 +740,17 @@ class StreamReservoir(abc.ABC):
         self._admit_many(records)
 
     @staticmethod
-    def apply_pending(disk_records: list[Record], pending: list[Record],
-                      rng: random.Random) -> list[Record]:
-        """Materialise a valid sample mid-flush.
+    def apply_pending_batch(disk: np.ndarray, pending: np.ndarray,
+                            np_rng: np.random.Generator) -> np.ndarray:
+        """Materialise a valid sample mid-flush, over slab rows.
 
         Each buffered record joined the reservoir by (deferred) evicting
         one uniformly random *disk-resident* record -- sequential draws
         without replacement, i.e. a uniform random ``len(pending)``-
-        subset of the disk records dies.  Used by every alternative's
-        ``sample()`` so queries between flushes still see an exact
-        fixed-size random sample.
-        """
-        if not pending:
-            return list(disk_records)
-        if len(pending) > len(disk_records):
-            raise ValueError("more pending records than disk residents")
-        victims = set(rng.sample(range(len(disk_records)), len(pending)))
-        survivors = [record for i, record in enumerate(disk_records)
-                     if i not in victims]
-        return survivors + list(pending)
-
-    @staticmethod
-    def apply_pending_batch(disk: np.ndarray, pending: np.ndarray,
-                            np_rng: np.random.Generator) -> np.ndarray:
-        """Vectorised :meth:`apply_pending` over structured row arrays.
-
-        The victim set is the same uniform without-replacement draw;
-        victims are overwritten *in place* by the pending rows (the
-        same multiset as survivors-plus-pending, one fancy-index write
-        instead of an O(n) rebuild).  ``disk`` must be a freshly
-        allocated array the caller owns -- typically the
+        subset of the disk records dies.  Victims are overwritten *in
+        place* by the pending rows (the same multiset as
+        survivors-plus-pending, one fancy-index write).  ``disk`` must
+        be a freshly allocated array the caller owns -- typically the
         ``np.concatenate`` of ledger slabs.
         """
         if len(pending) == 0:

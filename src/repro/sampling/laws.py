@@ -184,8 +184,9 @@ class SamplingLaw:
         the freshly written ledger.
 
     materialisation (query time)
-        :meth:`materialize` / :meth:`materialize_batch` assemble the
-        current logical sample from ledgers plus buffer.
+        :meth:`materialize_batch` assembles the current logical sample
+        as slab rows from ledgers plus buffer; ``sample()`` decodes
+        only the rows a query returns.
 
     checkpoints
         :meth:`state_dict` / :meth:`restore_state` round-trip the
@@ -217,11 +218,11 @@ class SamplingLaw:
 
     def select_batch(self, res: StreamReservoir, batch, first: int,
                      last: int):
-        """Columnar admission; the default decodes to the object law.
+        """Batch admission; the default decodes to :meth:`select_many`.
 
         Key-based laws need per-record weight/key draws, so the batch
         verb decodes once and runs :meth:`select_many`; the admitted
-        records still land in the columnar slab via placement.
+        records still land in the slab via placement.
         """
         return self.select_many(res, list(batch), first, last)
 
@@ -265,9 +266,6 @@ class SamplingLaw:
 
     # -- materialisation ---------------------------------------------------
 
-    def materialize(self, gf, rng: random.Random) -> list:
-        raise NotImplementedError
-
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
@@ -289,15 +287,27 @@ class SamplingLaw:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _disk_records(self, gf) -> list:
-        combined: list = []
-        for ledger in gf.iter_ledgers():
-            combined.extend(ledger.records or ())
-        return combined
+    def _disk_rows(self, gf, *, with_pending: bool) -> np.ndarray:
+        """Ledger rows concatenated (one O(N) copy the caller owns),
+        optionally followed by the buffered rows."""
+        parts = [ledger.records.array for ledger in gf.iter_ledgers()
+                 if ledger.records is not None and len(ledger.records)]
+        if with_pending:
+            pending = gf.buffer.pending_view()
+            if len(pending):
+                parts.append(pending)
+        if not parts:
+            return np.empty(0, dtype=gf.schema.dtype)
+        return np.concatenate(parts)
 
-    def _disk_parts(self, gf) -> list[np.ndarray]:
-        return [ledger.records.array for ledger in gf.iter_ledgers()
-                if ledger.records is not None and len(ledger.records)]
+    def _uniform_rows(self, gf, gen: np.random.Generator) -> np.ndarray:
+        """Uniform-victim materialisation: every buffered row evicts
+        one uniformly random disk resident (none during start-up)."""
+        if gf.in_startup:
+            return self._disk_rows(gf, with_pending=True)
+        return StreamReservoir.apply_pending_batch(
+            self._disk_rows(gf, with_pending=False),
+            gf.buffer.pending_view(), gen)
 
     def _disk_aux(self, gf) -> np.ndarray:
         parts = [ledger.aux for ledger in gf.iter_ledgers()
@@ -451,27 +461,10 @@ class UniformLaw(SamplingLaw):
                 else:
                     gf._flush()
 
-    # -- materialisation (GeometricFile.sample* bodies) --------------------
-
-    def materialize(self, gf, rng: random.Random) -> list:
-        combined = self._disk_records(gf)
-        pending = list(gf.buffer)
-        if gf.in_startup:
-            return combined + pending
-        return StreamReservoir.apply_pending(combined, pending, rng)
+    # -- materialisation ----------------------------------------------------
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if gf.in_startup:
-            if len(pending):
-                parts = parts + [pending]
-            return (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        return StreamReservoir.apply_pending_batch(combined, pending, gen)
+        return self._uniform_rows(gf, gen)
 
 
 class _WeightedLaw(SamplingLaw):
@@ -625,26 +618,16 @@ class AExpJLaw(_WeightedLaw):
             return np.arange(k, dtype=np.int64)
         return np.argsort(keys, kind="stable")[keys.shape[0] - k:]
 
-    def materialize(self, gf, rng: random.Random) -> list:
-        records = self._disk_records(gf) + list(gf.buffer)
-        keys = np.concatenate(
+    def _keys(self, gf) -> np.ndarray:
+        return np.concatenate(
             [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
-        return [records[int(i)] for i in self._top_k_indices(gf, keys)]
 
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if len(pending):
-            parts = parts + [pending]
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        keys = np.concatenate(
-            [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
-        return combined[self._top_k_indices(gf, keys)]
+        combined = self._disk_rows(gf, with_pending=True)
+        return combined[self._top_k_indices(gf, self._keys(gf))]
 
-    def sample_keyed(self, gf) -> tuple[list, np.ndarray]:
-        """The current sample with its log keys, best key first.
+    def sample_keyed(self, gf) -> tuple[np.ndarray, np.ndarray]:
+        """The current sample's rows with their log keys, best key first.
 
         A record's key depends only on the record (and its own uniform
         draw), never on which reservoir holds it, so keys rank records
@@ -652,11 +635,9 @@ class AExpJLaw(_WeightedLaw):
         exactly the global top-``k`` of the concatenated keyed samples.
         The sharded service's merge layer relies on this.
         """
-        records = self._disk_records(gf) + list(gf.buffer)
-        keys = np.concatenate(
-            [self._disk_aux(gf)[:, 0], gf.buffer.aux_view()[:, 0]])
+        keys = self._keys(gf)
         top = self._top_k_indices(gf, keys)[::-1]
-        return [records[int(i)] for i in top], keys[top]
+        return self._disk_rows(gf, with_pending=True)[top], keys[top]
 
     # -- checkpoint --------------------------------------------------------
 
@@ -752,25 +733,8 @@ class WeightedReplacementLaw(_WeightedLaw):
 
     # -- materialisation (uniform victims => uniform pending apply) --------
 
-    def materialize(self, gf, rng: random.Random) -> list:
-        combined = self._disk_records(gf)
-        pending = list(gf.buffer)
-        if gf.in_startup:
-            return combined + pending
-        return StreamReservoir.apply_pending(combined, pending, rng)
-
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if gf.in_startup:
-            if len(pending):
-                parts = parts + [pending]
-            return (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
-        return StreamReservoir.apply_pending_batch(combined, pending, gen)
+        return self._uniform_rows(gf, gen)
 
     # -- checkpoint --------------------------------------------------------
 
@@ -906,20 +870,8 @@ class SlidingWindowLaw(_WeightedLaw):
             return live
         return live[np.argsort(keys[live], kind="stable")[live.shape[0] - s:]]
 
-    def materialize(self, gf, rng: random.Random) -> list:
-        records = self._disk_records(gf) + list(gf.buffer)
-        aux = np.concatenate([self._disk_aux(gf), gf.buffer.aux_view()])
-        chosen = self._select_live(gf, aux[:, 0], aux[:, 1])
-        return [records[int(i)] for i in chosen]
-
     def materialize_batch(self, gf, gen: np.random.Generator) -> np.ndarray:
-        dtype = gf.schema.dtype
-        parts = self._disk_parts(gf)
-        pending = gf.buffer.pending_view()
-        if len(pending):
-            parts = parts + [pending]
-        combined = (np.concatenate(parts) if parts
-                    else np.empty(0, dtype=dtype))
+        combined = self._disk_rows(gf, with_pending=True)
         aux = np.concatenate([self._disk_aux(gf), gf.buffer.aux_view()])
         return combined[self._select_live(gf, aux[:, 0], aux[:, 1])]
 

@@ -16,10 +16,12 @@ Algorithm 3's randomized-partitioning draw is exactly the multivariate
 hypergeometric this merge needs, including its paper-scale (> 1e9
 records) decomposition.
 
-Workers return their records uniformly *ordered*, so taking the first
-``k_i`` of a shard's reply is itself a uniform ``k_i``-subset; the
+Workers return their records uniformly *ordered* as one
+:class:`~repro.storage.recordbatch.RecordBatch`, so taking the first
+``k_i`` rows of a shard's reply is itself a uniform ``k_i``-subset; the
 merge therefore needs one round trip even though the allocation is
-drawn supervisor-side after the replies arrive.
+drawn supervisor-side after the replies arrive, and only the merged
+``k`` rows are ever decoded.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from ..reservoir import draw_victim_counts
-from ..storage.records import Record
+from ..storage.recordbatch import RecordBatch
+from ..storage.records import Record, RecordSchema
 
 
 def allocate_counts(rng: np.random.Generator, seen: Sequence[int],
@@ -48,15 +51,22 @@ def allocate_counts(rng: np.random.Generator, seen: Sequence[int],
     return draw_victim_counts(rng, list(seen), k)
 
 
-def merge_shard_samples(rng: np.random.Generator,
-                        payloads: Sequence[dict], k: int) -> list[Record]:
+def merge_shard_batches(rng: np.random.Generator,
+                        payloads: Sequence[dict], k: int,
+                        schema: RecordSchema) -> RecordBatch:
     """Merge per-shard ``sample`` replies into a uniform ``k``-sample.
 
     Args:
         rng: the supervisor's merge RNG (allocation and final shuffle).
         payloads: one worker ``sample`` payload per shard, each with
-            ``seen``, ``size``, and uniformly-ordered ``records``.
+            ``seen``, ``size``, and uniformly-ordered ``records`` (a
+            :class:`~repro.storage.recordbatch.RecordBatch`).
         k: requested merged sample size.
+        schema: the shards' record layout.
+
+    Each shard's allocated prefix is one slice of its batch; the pieces
+    are concatenated and the de-grouping shuffle is a single row
+    permutation.
 
     Raises:
         ValueError: when the allocation lands a shard a count larger
@@ -68,25 +78,34 @@ def merge_shard_samples(rng: np.random.Generator,
     """
     seen = [p["seen"] for p in payloads]
     counts = allocate_counts(rng, seen, k)
-    merged: list[Record] = []
+    parts = [np.empty(0, dtype=schema.dtype)]
     for payload, count in zip(payloads, counts):
-        if count > len(payload["records"]):
+        records = payload["records"]
+        if count > len(records):
             raise ValueError(
                 f"allocation wants {count} records from a shard that "
-                f"returned {len(payload['records'])} (reservoir size "
+                f"returned {len(records)} (reservoir size "
                 f"{payload['size']}); request k no larger than the "
                 f"smallest shard reservoir"
             )
-        merged.extend(payload["records"][:count])
+        parts.append(records.array[:count])
+    merged = np.concatenate(parts)
     # A uniform subset is exchangeable; the shuffle only removes the
     # by-shard grouping from the returned order.
-    order = rng.permutation(len(merged))
-    return [merged[i] for i in order]
+    return RecordBatch(schema, merged[rng.permutation(len(merged))])
 
 
-def merge_weighted_samples(rng: np.random.Generator,
-                           payloads: Sequence[dict],
-                           k: int) -> list[Record]:
+def merge_shard_samples(rng: np.random.Generator,
+                        payloads: Sequence[dict], k: int) -> list[Record]:
+    """:func:`merge_shard_batches` in the replies' own schema, decoded
+    to record objects."""
+    schema = payloads[0]["records"].schema
+    return merge_shard_batches(rng, payloads, k, schema).to_records()
+
+
+def merge_weighted_batches(rng: np.random.Generator,
+                           payloads: Sequence[dict], k: int,
+                           schema: RecordSchema) -> RecordBatch:
     """Merge *keyed* (A-ExpJ) shard replies: global top-``k`` by key.
 
     A record's ``log(u)/w`` key is drawn from the record alone, never
@@ -100,53 +119,9 @@ def merge_weighted_samples(rng: np.random.Generator,
     ranking from the returned order; the selected *set* is
     deterministic given the replies.
     """
-    records: list[Record] = []
-    keys: list[float] = []
-    for payload in payloads:
-        records.extend(payload["records"])
-        keys.extend(payload["keys"])
-    take = min(k, len(records))
-    top = np.argsort(np.asarray(keys), kind="stable")[::-1][:take]
-    merged = [records[int(i)] for i in top]
-    order = rng.permutation(len(merged))
-    return [merged[i] for i in order]
-
-
-def merge_shard_batches(rng: np.random.Generator,
-                        payloads: Sequence[dict], k: int, schema):
-    """Columnar :func:`merge_shard_samples`: one ``RecordBatch`` out.
-
-    Each shard's allocated prefix is encoded into the schema's
-    structured dtype once, the pieces are concatenated, and the
-    de-grouping shuffle is a single row permutation.  Consumes the
-    merge RNG identically to the scalar helper (one allocation draw,
-    one permutation), so the two return the same sample multiset from
-    the same generator state.
-    """
-    from ..storage.recordbatch import RecordBatch
-
-    seen = [p["seen"] for p in payloads]
-    counts = allocate_counts(rng, seen, k)
-    parts = []
-    for payload, count in zip(payloads, counts):
-        if count > len(payload["records"]):
-            raise ValueError(
-                f"allocation wants {count} records from a shard that "
-                f"returned {len(payload['records'])} (reservoir size "
-                f"{payload['size']}); request k no larger than the "
-                f"smallest shard reservoir"
-            )
-        if count:
-            records = payload["records"][:count]
-            if isinstance(records, RecordBatch):
-                parts.append(records.array)
-            else:
-                parts.append(
-                    RecordBatch.from_records(schema, records).array
-                )
-    if parts:
-        merged = np.concatenate(parts)
-    else:
-        merged = np.empty(0, dtype=schema.dtype)
-    order = rng.permutation(len(merged))
-    return RecordBatch(schema, merged[order])
+    rows = np.concatenate([np.empty(0, dtype=schema.dtype)]
+                          + [p["records"].array for p in payloads])
+    keys = np.asarray([key for p in payloads for key in p["keys"]])
+    take = min(k, len(rows))
+    top = np.argsort(keys, kind="stable")[::-1][:take]
+    return RecordBatch(schema, rows[top][rng.permutation(take)])

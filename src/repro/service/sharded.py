@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,16 +38,11 @@ from ..core.geometric_file import GeometricFile, GeometricFileConfig
 from ..core.multi import MultiFileConfig, MultipleGeometricFiles
 from ..estimate import BatchQuery, Estimate, SnapshotEstimator
 from ..obs import ReservoirStats, aggregate_stats, stats_from_dict
-from ..obs.deprecation import warn_deprecated
 from ..storage.device import DeviceSpec
 from ..storage.disk_model import DiskParameters
 from ..storage.recordbatch import RecordBatch
 from ..storage.records import Record, RecordSchema
-from .merge import (
-    merge_shard_batches,
-    merge_shard_samples,
-    merge_weighted_samples,
-)
+from .merge import merge_shard_batches, merge_weighted_batches
 from .partition import make_partitioner
 from .pool import InlinePool, ProcessPool, ShardDead, _AdaptiveWait
 from .shm import DEFAULT_RING_BYTES
@@ -282,11 +277,6 @@ class ShardedReservoir:
         self._offered += len(records)
         return len(records)
 
-    def offer_many(self, records: Sequence[Record | None]) -> int:
-        """Deprecated alias for :meth:`offer_batch`."""
-        warn_deprecated("ShardedReservoir.offer_many", "offer_batch")
-        return self.offer_batch(records)
-
     def ingest(self, n: int) -> None:
         """Count-only ingestion, split evenly across shards."""
         if self._closed:
@@ -313,13 +303,13 @@ class ShardedReservoir:
         shard, so no larger ``k`` is safe under every partition)."""
         return self.config.capacity if k is None else k
 
-    def _merge_samples(self, payloads: list[dict], k: int) -> list[Record]:
+    def _merge(self, payloads: list[dict], k: int) -> RecordBatch:
         """Law-appropriate merge of shard ``sample`` replies: the
         hypergeometric allocation for uniform shards, the global
         top-``k``-by-key rank for keyed (A-ExpJ) shards."""
-        if self._keyed_merge:
-            return merge_weighted_samples(self._merge_rng, payloads, k)
-        return merge_shard_samples(self._merge_rng, payloads, k)
+        merge = (merge_weighted_batches if self._keyed_merge
+                 else merge_shard_batches)
+        return merge(self._merge_rng, payloads, k, self._schema)
 
     def sample(self, k: int | None = None) -> list[Record]:
         """A uniform random ``k``-subset of the whole union stream.
@@ -334,51 +324,25 @@ class ShardedReservoir:
         size (the hypergeometric allocation can land up to ``k`` on
         one shard); with balanced partitions that means roughly
         ``k <= capacity_per_shard`` -- which is also the ``k=None``
-        default.
+        default.  Only the ``k`` merged rows are decoded.
         """
-        k = self._resolve_k(k)
-        payloads = self._broadcast_query("sample", k)
-        merged = self._merge_samples(payloads, k)
-        self._emit("merged_query", k=k,
-                   seen=sum(p["seen"] for p in payloads))
-        return merged
+        return self.sample_batch(k).to_records()
 
     def snapshot(self, k: int | None = None) -> tuple[list[Record], int]:
         """Like :meth:`sample`, also returning the union ``seen`` total
         (the population size AQP estimators scale by)."""
-        k = self._resolve_k(k)
-        payloads = self._broadcast_query("sample", k)
-        merged = self._merge_samples(payloads, k)
-        seen = sum(p["seen"] for p in payloads)
-        self._emit("merged_query", k=k, seen=seen)
-        return merged, seen
+        batch, seen = self.snapshot_batch(k)
+        return batch.to_records(), seen
 
     def sample_batch(self, k: int | None = None) -> RecordBatch:
-        """:meth:`sample` as one :class:`RecordBatch` (columnar merge).
-
-        Same snapshot semantics and the same merge-RNG consumption as
-        :meth:`sample`; shard replies are encoded once into the shared
-        record dtype and merged without per-record Python work.
-        """
-        k = self._resolve_k(k)
-        payloads = self._broadcast_query("sample", k)
-        merged = self._merge_batches(payloads, k)
-        self._emit("merged_query", k=k,
-                   seen=sum(p["seen"] for p in payloads))
-        return merged
-
-    def _merge_batches(self, payloads: list[dict], k: int) -> RecordBatch:
-        if self._keyed_merge:
-            merged = merge_weighted_samples(self._merge_rng, payloads, k)
-            return RecordBatch.from_records(self._schema, merged)
-        return merge_shard_batches(self._merge_rng, payloads, k,
-                                   self._schema)
+        """:meth:`sample` as one :class:`RecordBatch`, undecoded."""
+        return self.snapshot_batch(k)[0]
 
     def snapshot_batch(self, k: int | None = None) -> tuple[RecordBatch, int]:
         """Like :meth:`sample_batch`, also returning the union ``seen``."""
         k = self._resolve_k(k)
         payloads = self._broadcast_query("sample", k)
-        merged = self._merge_batches(payloads, k)
+        merged = self._merge(payloads, k)
         seen = sum(p["seen"] for p in payloads)
         self._emit("merged_query", k=k, seen=seen)
         return merged, seen

@@ -10,12 +10,12 @@ Protocol (plain tuples -- picklable, versionless):
 
 Commands, in order, on the shard's inbox:
 
-* ``("batch", seq, records)`` -- apply one partitioned sub-batch via
-  the ``offer_many`` hot path.
+* ``("batch", seq, records)`` -- apply one partitioned sub-batch (a
+  ``RecordBatch`` or a record list) via ``offer_batch``.
 * ``("ingest", seq, count)`` -- count-only sub-batch (benchmarks).
-* ``("sample", token, k)`` -- reply with up to ``k`` reservoir records,
-  uniformly chosen *and uniformly ordered* (so any prefix is itself a
-  uniform subset -- the merge layer relies on this).
+* ``("sample", token, k)`` -- reply with up to ``k`` reservoir records
+  as a ``RecordBatch``, uniformly chosen *and uniformly ordered* (so any
+  prefix is itself a uniform subset -- the merge layer relies on this).
 * ``("stats", token)`` -- reply with the structure's ``stats()`` as a
   dict plus the applied sequence number.
 * ``("checkpoint",)`` -- checkpoint now, regardless of cadence.
@@ -39,13 +39,11 @@ reproduce.
 from __future__ import annotations
 
 import os
-import random
 import time
 
 import numpy as np
 
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import Record
 from .spec import ShardSpec
 
 #: Sequence number meaning "nothing applied yet".
@@ -72,12 +70,10 @@ class ShardWorker:
             meta = self.managed.checkpoint_meta or {}
             self.seq = int(meta.get(SEQ_META_KEY, SEQ_NONE))
         self._batches_since_checkpoint = 0
-        # Query-only RNGs; never touched by ingestion or recovery.
+        # Query-only RNG; never touched by ingestion or recovery.
         seed_seq = np.random.SeedSequence(
             [spec.seed & 0xFFFFFFFF, spec.shard_id, 0x51])
         self._query_rng = np.random.default_rng(seed_seq)
-        self._query_py_rng = random.Random(
-            ((spec.seed & 0xFFFFFFFF) << 24) ^ (spec.shard_id << 8) ^ 0x51)
 
     # -- message handling ---------------------------------------------------
 
@@ -86,13 +82,7 @@ class ShardWorker:
         kind = message[0]
         if kind == "batch":
             _, seq, records = message
-            if isinstance(records, RecordBatch):
-                # Columnar sub-batch (slab or pickled-batch transport);
-                # bit-exact with offer_many over the same records, a
-                # tested twin property of the reservoir.
-                self.managed.offer_batch(records)
-            else:
-                self.managed.offer_many(records)
+            self.managed.offer_batch(records)
             return self._applied(seq)
         if kind == "ingest":
             _, seq, count = message
@@ -144,47 +134,34 @@ class ShardWorker:
     def _draw_sample(self, k: int) -> dict:
         """Up to ``k`` reservoir records, uniform and uniformly ordered.
 
-        The deferred-eviction materialisation inside ``sample()`` and
-        the subset draw both use the worker's query RNGs, so the
-        reservoir's own (checkpointed, replay-critical) RNG streams
-        stay untouched by reads.
+        The deferred-eviction materialisation and the subset draw both
+        use the worker's query RNG, so the reservoir's own
+        (checkpointed, replay-critical) RNG streams stay untouched by
+        reads.  Only the returned rows are ever decoded (by whoever
+        reads them); the reply carries them as a
+        :class:`~repro.storage.recordbatch.RecordBatch`.
         """
         if k < 0:
             raise ValueError("sample size must be non-negative")
-        law = getattr(self.managed.structure, "_law", None)
-        if law is not None and law.mergeable_by_key:
-            return self._draw_keyed_sample(k, law)
-        records = self.managed.sample(rng=self._query_py_rng)
-        size = len(records)
-        stats = self.managed.stats()
-        take = min(k, size)
-        order = self._query_rng.permutation(size)[:take]
+        structure = self.managed.structure
+        law = structure.law
+        if law.mergeable_by_key:
+            rows, keys = law.sample_keyed(structure)
+            take = min(k, len(rows))
+            records = RecordBatch(structure.schema, rows[:take])
+            extra = {"keys": keys[:take].tolist()}
+        else:
+            full = structure.sample_batch(rng=self._query_rng)
+            take = min(k, len(full))
+            records = full.take(
+                self._query_rng.choice(len(full), size=take, replace=False))
+            rows, extra = full, {}
         return {
-            "seen": stats.seen,
-            "size": size,
+            "seen": self.managed.stats().seen,
+            "size": len(rows),
             "seq": self.seq,
-            "records": [records[i] for i in order],
-        }
-
-    def _draw_keyed_sample(self, k: int, law) -> dict:
-        """Key-ranked reply for mergeable laws (A-ExpJ).
-
-        The records come back best key first with the keys alongside,
-        so any prefix is the shard's top-``j`` and the supervisor's
-        global top-``k`` over the concatenation is the union's exact
-        weighted sample.  No query RNG is consumed: the keyed sample
-        is a deterministic function of reservoir state.
-        """
-        records, keys = law.sample_keyed(self.managed.structure)
-        stats = self.managed.stats()
-        size = len(records)
-        take = min(k, size)
-        return {
-            "seen": stats.seen,
-            "size": size,
-            "seq": self.seq,
-            "records": records[:take],
-            "keys": [float(key) for key in keys[:take]],
+            "records": records,
+            **extra,
         }
 
 
@@ -231,20 +208,18 @@ def _pop_batch_slab(ring, schema, seq: int, n_records: int) -> RecordBatch:
 def _slab_reply(ring, schema, reply: tuple) -> tuple:
     """Route a sample reply's records over the outbound ring if possible.
 
-    Plain-``Record`` payloads are encoded once into the shared record
-    dtype (in *this* process, so encoding parallelises across shards)
-    and replaced by a ``sample_slab`` stub; keyed (A-ExpJ), weighted,
-    or empty payloads -- and slabs the ring cannot take in reasonable
-    time -- stay on the pickled queue path unchanged.
+    The reply's batch is copied into the ring and replaced by a
+    ``sample_slab`` stub carrying the rest of the payload (A-ExpJ keys
+    included); empty or foreign-schema batches -- and slabs the ring
+    cannot take in reasonable time -- stay on the pickled queue path
+    unchanged.
     """
     if ring is None or reply[0] != "sample":
         return reply
     payload = reply[3]
-    records = payload.get("records")
-    if (not isinstance(records, list) or not records
-            or "keys" in payload or not isinstance(records[0], Record)):
+    batch = payload["records"]
+    if not len(batch) or batch.schema != schema:
         return reply
-    batch = RecordBatch.from_records(schema, records)
     n_bytes = len(batch) * schema.record_size
     if not ring.fits(n_bytes):
         return reply

@@ -92,7 +92,7 @@ def read_discard(device: "BlockDevice", block: int, n_blocks: int) -> None:
 def device_stores_bytes(device: "BlockDevice") -> bool:
     """True when reads return what was written (payloads worth encoding).
 
-    The columnar flush path encodes segments only for byte-storing
+    Record-retaining flushes encode segments only for byte-storing
     devices; cost-model-only backends keep the :func:`write_zeros`
     charge.  Devices advertise via a ``stores_data`` attribute; absent
     that, a device with no ``charge_write`` fast path performs real
@@ -222,7 +222,7 @@ class MemoryBlockDevice:
     def n_blocks(self) -> int:
         return self._n_blocks
 
-    #: Reads return real bytes; the columnar flush encodes payloads.
+    #: Reads return real bytes; record-retaining flushes encode payloads.
     stores_data = True
 
     def stats(self) -> DiskStats:
@@ -413,7 +413,7 @@ class FileBlockDevice:
     def path(self) -> str:
         return self._path
 
-    #: Reads return real bytes; the columnar flush encodes payloads.
+    #: Reads return real bytes; record-retaining flushes encode payloads.
     stores_data = True
 
     def stats(self) -> DiskStats:

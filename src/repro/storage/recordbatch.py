@@ -2,8 +2,9 @@
 
 A :class:`RecordBatch` wraps a 1-D numpy structured array whose packed
 dtype (:attr:`~repro.storage.records.RecordSchema.dtype`) matches the
-scalar codec's byte layout exactly.  That single fact buys the whole
-columnar pipeline:
+scalar codec's byte layout exactly, and it is the only form in which
+the library retains records.  The layout match buys the whole
+pipeline:
 
 * ``RecordBatch.from_bytes`` is one ``np.frombuffer`` -- a zero-copy
   decode of any segment the scalar codec ever wrote;
@@ -14,10 +15,10 @@ columnar pipeline:
   over, with no :class:`~repro.storage.records.Record` objects in
   sight.
 
-The batch also keeps just enough of the ``list[Record]`` surface --
-``len``, iteration, indexing, tail deletion, truthiness -- that the
-:class:`~repro.core.subsample.SubsampleLedger` and the object-returning
-query shims work on either representation unchanged.  Iterating or
+The batch also keeps a small ``list[Record]`` surface -- ``len``,
+iteration, indexing, row assignment, tail deletion, truthiness -- for
+the :class:`~repro.core.subsample.SubsampleLedger`'s pop-from-the-end
+eviction and for callers that want records.  Iterating or
 integer-indexing decodes through the column-wise :meth:`to_records`;
 every hot path stays on the array.
 """

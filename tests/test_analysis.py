@@ -127,11 +127,11 @@ class TestCostModelAgainstSimulator:
                                  admission="always", beta_records=200,
                                  seed=1)
         gf.ingest(200_000)
-        clock_before = gf.clock
+        clock_before = gf.stats().clock
         flushes_before = gf.flushes
         gf.ingest(50_000)
         flushes = gf.flushes - flushes_before
-        measured = (gf.clock - clock_before) / flushes
+        measured = (gf.stats().clock - clock_before) / flushes
         predicted = geometric_flush_cost(
             2000, 40, gf.alpha, 200,
             DiskParameters(block_size=4096),

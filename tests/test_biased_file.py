@@ -11,7 +11,8 @@ from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.estimate import horvitz_thompson_count, horvitz_thompson_sum
 from repro.sampling.weights import exponential_recency, uniform_weight
 from repro.storage.device import SimulatedBlockDevice
-from repro.storage.records import Record
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import Record, RecordSchema
 
 
 def make_biased(capacity=500, buffer_capacity=50, weight_fn=uniform_weight,
@@ -48,6 +49,45 @@ class TestConstruction:
         bf = make_biased(weight_fn=lambda r: -1.0)
         with pytest.raises(ValueError):
             bf.offer(Record(key=0))
+
+
+class TestBatchVerbs:
+    """Every ingest verb runs Algorithm 4, not the uniform N/i gate."""
+
+    @staticmethod
+    def _weight(record):
+        return 1.0 + record.key % 7
+
+    @staticmethod
+    def _stream(n):
+        return [Record(key=i, value=1.0, timestamp=float(i))
+                for i in range(n)]
+
+    def _make(self, host):
+        if host == "single":
+            return make_biased(capacity=200, buffer_capacity=20,
+                               weight_fn=self._weight, seed=4)
+        return TestBiasedMultiFile.make_biased_multi(self._weight, seed=4)
+
+    @pytest.mark.parametrize("host", ["single", "multi"])
+    def test_offer_batch_matches_offer_many(self, host):
+        listed, batched = self._make(host), self._make(host)
+        records = self._stream(1000)
+        schema = RecordSchema(listed.config.record_size)
+        for start in range(0, 1000, 128):
+            listed.offer_many(records[start:start + 128])
+            batched.offer_batch(RecordBatch.from_records(
+                schema, records[start:start + 128]))
+        batched.check_invariants()
+        assert batched.total_weight > 0.0
+        assert batched.total_weight == listed.total_weight
+        assert ([r.key for r in batched.sample()]
+                == [r.key for r in listed.sample()])
+        assert list(batched.items()) == list(listed.items())
+
+    def test_aqp_cache_rejected(self):
+        with pytest.raises(TypeError, match="uniform"):
+            make_biased().enable_aqp_cache()
 
 
 class TestUniformDegenerate:

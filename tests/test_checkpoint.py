@@ -50,8 +50,8 @@ class TestRoundTrip:
         gf = make_geometric_file(capacity=500, buffer_capacity=50)
         feed(gf, 2345)
         restored = round_trip(gf)
-        assert restored.seen == gf.seen
-        assert restored.samples_added == gf.samples_added
+        assert restored.stats().seen == gf.stats().seen
+        assert restored.stats().samples_added == gf.stats().samples_added
         assert restored.flushes == gf.flushes
         assert restored.disk_size == gf.disk_size
         assert restored.buffer.count == gf.buffer.count
@@ -287,8 +287,7 @@ class TestBiasedMultiRoundTrip:
 
 # -- the generation log --------------------------------------------------------
 
-LOG_KINDS = ("geometric", "columnar", "count-only", "biased", "multi",
-             "biased-multi")
+LOG_KINDS = ("geometric", "count-only", "biased", "multi", "biased-multi")
 
 
 def log_weight(record):
@@ -301,8 +300,6 @@ def make_kind(kind, seed):
                   beta_records=4)
     if kind == "geometric":
         return make_geometric_file(seed=seed, **sizing)
-    if kind == "columnar":
-        return make_geometric_file(seed=seed, columnar=True, **sizing)
     if kind == "count-only":
         return make_geometric_file(seed=seed, retain_records=False,
                                    admission="always", **sizing)

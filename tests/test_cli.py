@@ -129,11 +129,14 @@ class TestParser:
         assert parser.parse_args(["serve"]).experiment == "serve"
 
     def test_deprecated_flags_are_hidden_from_help(self):
-        text = build_parser().format_help()
+        parser = build_parser()
+        text = parser.format_help()
         assert "--report" in text
         for legacy in ("--perf-smoke", "--query-report", "--pipeline",
                        "--shard-report"):
             assert legacy not in text, legacy
+            with pytest.raises(SystemExit):
+                parser.parse_args([legacy, "out.json"])
 
     def test_unknown_report_kind_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""Tier-1 tests for the columnar record engine.
+"""Tier-1 tests for the slab record engine.
 
 The engine's contract has two halves, and this module pins both:
 
@@ -6,11 +6,13 @@ The engine's contract has two halves, and this module pins both:
   (``encode_many`` / ``decode_many`` / :class:`RecordBatch`) produces
   and consumes exactly the bytes the scalar ``struct`` codec does, for
   every record size, weighted or not (hypothesis property tests);
-* **engine identity** -- a ``columnar=True`` structure driven over the
-  same stream with the same seed charges bit-exact simulated I/O and
-  holds the *same sample* as its scalar twin, across the geometric
-  file, the multi-file structure, and all three baselines, on every
-  device kind (cost-only, byte-storing, in-memory).
+* **ingest-path identity** -- a structure fed record lists through
+  ``offer_many`` and its twin fed the same stream as
+  :class:`RecordBatch` slices through ``offer_batch`` (same seed)
+  charge bit-exact simulated I/O and hold the *same sample*, across
+  the geometric file, the multi-file structure, and all three
+  baselines, on every device kind (cost-only, byte-storing,
+  in-memory).
 
 Statistical acceptance (chi-square membership, KS on estimator
 outputs) and the query-side surfaces (``sample_batch`` /
@@ -73,41 +75,30 @@ def stream_batch(schema: RecordSchema, records: list[Record]) -> RecordBatch:
     return RecordBatch.from_records(schema, records)
 
 
-def drive_twins(scalar, columnar, records: list[Record],
+def drive_twins(listed, batched, records: list[Record],
                 chunk: int = 64) -> None:
-    """Same stream through both engines via their natural batch paths."""
-    schema = RecordSchema(scalar.config.record_size)
+    """Same stream through both ingest verbs: record lists through
+    ``offer_many``, slab slices through ``offer_batch``."""
+    schema = RecordSchema(listed.config.record_size)
     batch = stream_batch(schema, records)
     for start in range(0, len(records), chunk):
-        scalar.offer_many(records[start:start + chunk])
-        columnar.offer_batch(batch[start:start + chunk])
+        listed.offer_many(records[start:start + chunk])
+        batched.offer_batch(batch[start:start + chunk])
 
 
 def sorted_sample_keys(structure) -> list[int]:
-    if getattr(structure, "columnar", False):
-        return sorted(structure.sample_batch().keys.tolist())
-    return sorted(r.key for r in structure.sample())
+    return sorted(structure.sample_batch().keys.tolist())
 
 
-def assert_twins_identical(scalar, columnar) -> None:
-    """Bit-exact I/O and *identical resident sample* between engines.
-
-    ``sample()`` consumes the shared ``random.Random`` stream
-    identically on both engines, so its output must match key-for-key.
-    ``sample_batch`` draws its pending-eviction victims from the numpy
-    generator instead -- a different (equally uniform) draw -- so it is
-    checked as the same size over the same resident-plus-pending pool.
-    """
-    assert scalar.device.stats() == columnar.device.stats()
-    if hasattr(scalar.device, "clock"):
-        assert scalar.device.clock == columnar.device.clock
-    assert scalar.stats().seen == columnar.stats().seen
-    scalar_keys = sorted(r.key for r in scalar.sample())
-    columnar_keys = sorted(r.key for r in columnar.sample())
-    assert scalar_keys == columnar_keys
-    batch = columnar.sample_batch()
-    assert len(batch) == len(columnar_keys)
-    assert len(set(batch.keys.tolist())) == len(batch)
+def assert_twins_identical(listed, batched) -> None:
+    """Bit-exact I/O and *identical resident sample* between twins."""
+    assert listed.device.stats() == batched.device.stats()
+    if hasattr(listed.device, "clock"):
+        assert listed.device.clock == batched.device.clock
+    assert listed.stats().seen == batched.stats().seen
+    keys = [r.key for r in listed.sample()]
+    assert keys == [r.key for r in batched.sample()]
+    assert len(set(keys)) == len(keys)
 
 
 # -- codec byte identity (hypothesis) ----------------------------------------
@@ -260,28 +251,30 @@ class TestRecordBatchSurface:
 
 class TestBufferParity:
     def test_columnar_buffer_matches_object_buffer(self):
-        """Same seed, same stream: identical drains either way."""
+        """Same seed, same stream: a buffer fed record objects (extend /
+        absorb_many) drains exactly what a buffer fed slab slices
+        (extend_batch / absorb_batch) drains."""
         schema = RecordSchema(40)
         records = keyed_records(400)
         batch = stream_batch(schema, records)
-        scalar = SampleBuffer(50, random.Random(7))
-        columnar = SampleBuffer(50, random.Random(7), schema=schema)
-        scalar.extend(records[:50])
-        columnar.extend_batch(batch[:50])
-        drained_s, _, count_s = scalar.drain()
-        drained_c, _, count_c = columnar.drain()
+        listed = SampleBuffer(50, random.Random(7), schema=schema)
+        batched = SampleBuffer(50, random.Random(7), schema=schema)
+        listed.extend(records[:50])
+        batched.extend_batch(batch[:50])
+        drained_s, _, count_s = listed.drain()
+        drained_c, _, count_c = batched.drain()
         assert count_s == count_c == 50
-        assert [r.key for r in drained_s] == drained_c.keys.tolist()
+        assert drained_s.keys.tolist() == drained_c.keys.tolist()
         i = j = 50
         while i < len(records):
-            i += scalar.absorb_many(records, 2000, start=i)
-            j += columnar.absorb_batch(batch, 2000, start=j)
+            i += listed.absorb_many(records, 2000, start=i)
+            j += batched.absorb_batch(batch, 2000, start=j)
             assert i == j
-            if scalar.is_full:
-                drained_s, _, _ = scalar.drain()
-                drained_c, _, _ = columnar.drain()
-                assert [r.key for r in drained_s] == \
-                    drained_c.keys.tolist()
+            if listed.is_full:
+                drained_s, _, _ = listed.drain()
+                drained_c, _, _ = batched.drain()
+                assert drained_s.array.tobytes() == \
+                    drained_c.array.tobytes()
 
     def test_pending_view_sees_live_rows(self):
         schema = RecordSchema(40)
@@ -309,54 +302,36 @@ BASELINES = [VirtualMemoryReservoir, ScanReservoir, LocalOverwriteReservoir]
 class TestEngineIdentity:
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     def test_geometric_file_twins(self, kind):
-        scalar, columnar = [
-            self._make_gf(kind, columnar=flag) for flag in (False, True)
-        ]
-        drive_twins(scalar, columnar, keyed_records(3000))
-        assert_twins_identical(scalar, columnar)
+        listed, batched = [self._make_gf(kind) for _ in range(2)]
+        drive_twins(listed, batched, keyed_records(3000))
+        assert_twins_identical(listed, batched)
 
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     def test_multi_file_twins(self, kind):
-        scalar, columnar = [
-            self._make_multi(kind, columnar=flag) for flag in (False, True)
-        ]
-        drive_twins(scalar, columnar, keyed_records(3000))
-        assert_twins_identical(scalar, columnar)
+        listed, batched = [self._make_multi(kind) for _ in range(2)]
+        drive_twins(listed, batched, keyed_records(3000))
+        assert_twins_identical(listed, batched)
 
     @pytest.mark.parametrize("kind", DEVICE_KINDS)
     @pytest.mark.parametrize("cls", BASELINES)
     def test_baseline_twins(self, cls, kind):
-        scalar, columnar = [
-            self._make_baseline(cls, kind, columnar=flag)
-            for flag in (False, True)
-        ]
-        records = keyed_records(1500)
-        for r in records:
-            scalar.offer(r)
-            columnar.offer(r)
-        assert_twins_identical(scalar, columnar)
+        listed, batched = [self._make_baseline(cls, kind)
+                           for _ in range(2)]
+        drive_twins(listed, batched, keyed_records(1500))
+        assert_twins_identical(listed, batched)
 
     @pytest.mark.parametrize("cls", BASELINES)
     def test_baseline_offer_batch_fills_sample(self, cls):
-        columnar = self._make_baseline(cls, "sim", columnar=True)
-        schema = RecordSchema(columnar.config.record_size)
+        reservoir = self._make_baseline(cls, "sim")
+        schema = RecordSchema(reservoir.config.record_size)
         batch = stream_batch(schema, keyed_records(1500))
         for start in range(0, 1500, 128):
-            columnar.offer_batch(batch[start:start + 128])
-        got = columnar.sample_batch()
-        assert len(got) == columnar.capacity
+            reservoir.offer_batch(batch[start:start + 128])
+        got = reservoir.sample_batch()
+        assert len(got) == reservoir.capacity
         assert set(got.keys.tolist()) <= set(range(1500))
 
-    def test_scalar_offer_loop_matches_on_columnar_file(self):
-        """offer() on a columnar file stays bit-exact with scalar."""
-        scalar = self._make_gf("sim", columnar=False)
-        columnar = self._make_gf("sim", columnar=True)
-        for r in keyed_records(2000):
-            scalar.offer(r)
-            columnar.offer(r)
-        assert_twins_identical(scalar, columnar)
-
-    def _make_gf(self, kind, *, columnar):
+    def _make_gf(self, kind):
         from repro.core.geometric_file import (
             GeometricFile,
             GeometricFileConfig,
@@ -365,28 +340,26 @@ class TestEngineIdentity:
         config = GeometricFileConfig(
             capacity=800, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="uniform",
-            columnar=columnar,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         return GeometricFile(make_device(kind, blocks), config, seed=5)
 
-    def _make_multi(self, kind, *, columnar):
+    def _make_multi(self, kind):
         from repro.core.multi import MultiFileConfig, MultipleGeometricFiles
 
         config = MultiFileConfig(
             capacity=800, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="uniform",
-            alpha_prime=0.8, columnar=columnar,
+            alpha_prime=0.8,
         )
         blocks = MultipleGeometricFiles.required_blocks(config, TEST_BLOCK)
         return MultipleGeometricFiles(make_device(kind, blocks), config,
                                       seed=5)
 
-    def _make_baseline(self, cls, kind, *, columnar):
+    def _make_baseline(self, cls, kind):
         config = DiskReservoirConfig(
             capacity=600, buffer_capacity=60, record_size=40,
             pool_blocks=4, retain_records=True, admission="uniform",
-            columnar=columnar,
         )
         blocks = cls.required_blocks(config, TEST_BLOCK)
         return cls(make_device(kind, blocks), config, seed=5)
@@ -407,7 +380,6 @@ class TestSegmentReadback:
         config = GeometricFileConfig(
             capacity=600, buffer_capacity=100, record_size=40,
             beta_records=10, retain_records=True, admission="always",
-            columnar=True,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
         device = SimulatedBlockDevice(blocks, small_disk_params(),
@@ -447,7 +419,7 @@ class TestDistributionalIdentity:
         batch = stream_batch(schema, keyed_records(stream))
         for t in range(trials):
             gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                     seed=t, columnar=True)
+                                     seed=t)
             capacity = gf.capacity
             for start in range(0, stream, 128):
                 gf.offer_batch(batch[start:start + 128])
@@ -466,7 +438,7 @@ class TestDistributionalIdentity:
             scalar = make_geometric_file(capacity=300, buffer_capacity=30,
                                          seed=t)
             columnar = make_geometric_file(capacity=300, buffer_capacity=30,
-                                           seed=t + 10 ** 6, columnar=True)
+                                           seed=t + 10 ** 6)
             for start in range(0, 900, 128):
                 scalar.offer_many(records[start:start + 128])
                 columnar.offer_batch(batch[start:start + 128])
@@ -483,7 +455,7 @@ class TestDistributionalIdentity:
         records = value_records(600, seed=9)
         schema = RecordSchema(40)
         gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                 columnar=True)
+                                 )
         batch_stream = stream_batch(schema, records)
         for start in range(0, 600, 100):
             gf.offer_batch(batch_stream[start:start + 100])
@@ -509,7 +481,7 @@ class TestDistributionalIdentity:
 class TestZoneMapBatch:
     def _file(self):
         gf = make_geometric_file(capacity=400, buffer_capacity=40,
-                                 columnar=True)
+                                 )
         schema = RecordSchema(40)
         batch = stream_batch(schema, keyed_records(1200))
         for start in range(0, 1200, 100):
@@ -528,10 +500,12 @@ class TestZoneMapBatch:
         assert batch_stats == iter_stats
 
     def test_query_batch_requires_columnar_file(self):
-        gf = make_geometric_file(capacity=200, buffer_capacity=20)
-        for r in keyed_records(300):
-            gf.offer(r)
-        index = ZoneMapIndex(gf, field="value")
+        """A slab-holding (record-retaining) file and a named field."""
+        count_only = make_geometric_file(capacity=200, buffer_capacity=20,
+                                         retain_records=False)
+        with pytest.raises(ValueError):
+            ZoneMapIndex(count_only, field="value")
+        index = ZoneMapIndex(self._file(), extractor=lambda r: r.value)
         with pytest.raises(TypeError):
             index.query_batch(0.0, 10.0)
 
@@ -542,7 +516,7 @@ class TestZoneMapBatch:
 class TestCheckpointColumnar:
     def test_round_trip_restores_columnar_ledgers(self):
         gf = make_geometric_file(capacity=300, buffer_capacity=30,
-                                 columnar=True)
+                                 )
         schema = RecordSchema(40)
         batch = stream_batch(schema, keyed_records(900))
         for start in range(0, 900, 90):
@@ -553,7 +527,8 @@ class TestCheckpointColumnar:
         blocks = gf.device.n_blocks
         restored = load_geometric_file(
             sink, SimulatedBlockDevice(blocks, small_disk_params()))
-        assert restored.columnar
+        assert all(isinstance(ledger.records, RecordBatch)
+                   for ledger in restored.subsamples)
         assert sorted_sample_keys(restored) == sorted_sample_keys(gf)
         # Bit-identical continuation: the restored file and the
         # original make the same decisions over the same future stream.
@@ -576,7 +551,6 @@ class TestManagedColumnar:
         config = GeometricFileConfig(
             capacity=300, buffer_capacity=30, record_size=40,
             beta_records=4, retain_records=True, admission="uniform",
-            columnar=True,
         )
         blocks = GeometricFile.required_blocks(config, TEST_BLOCK)
 
@@ -593,7 +567,6 @@ class TestManagedColumnar:
         assert path.exists()
         assert managed.flushes > 0
         reopened = ManagedSample.restore(path, device_factory)
-        assert reopened.columnar
         assert sorted_sample_keys(reopened.structure) == \
             sorted_sample_keys(managed.structure)
 
@@ -608,7 +581,6 @@ class TestShardedBatchQueries:
         return GeometricFileConfig(
             capacity=200, buffer_capacity=20, record_size=32,
             beta_records=4, retain_records=True, admission="uniform",
-            columnar=True,
         )
 
     def test_snapshot_batch_and_query_batch(self, tmp_path):

@@ -76,7 +76,7 @@ class TestLifecycle:
                            checkpoint_every=4)
         feed(ms, 900)  # a "crash" here: last checkpoint <= 4 flushes old
         resumed = ManagedSample(path, factory_for(cfg), cfg)
-        lost = ms.seen - resumed.seen
+        lost = ms.stats().seen - resumed.stats().seen
         assert 0 <= lost <= 5 * cfg.buffer_capacity
         resumed.check_invariants()
 

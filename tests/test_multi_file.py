@@ -165,7 +165,7 @@ class TestSpeedup:
         # m = 100 here; the seek reduction should be at least ~3x even
         # at this tiny scale (log-scale segment counts compress it).
         assert multi_seeks * 3 < single_seeks
-        assert multi.clock < single.clock
+        assert multi.stats().clock < single.stats().clock
 
     def test_segments_per_flush_matches_ladder(self):
         mf = make_multi_file(capacity=2000, buffer_capacity=100,

@@ -4,11 +4,10 @@ Covers the metrics registry primitives, the trace ring buffer, the
 unified ``stats()`` protocol, bit-exact reconciliation between mirrored
 registry counters and ``DiskStats``, trace-event ordering at flush
 boundaries, the zero-cost guarantee (instrumentation must not move the
-simulated clock), and the deprecation shims for the old accessors.
+simulated clock), and the managed proxy's attribute errors.
 """
 
 import os
-import warnings
 
 import pytest
 
@@ -16,7 +15,6 @@ from conftest import TEST_BLOCK, make_geometric_file, small_disk_params
 from repro.bench import ALTERNATIVE_NAMES, experiment_1, run_until
 from repro.core.geometric_file import GeometricFile, GeometricFileConfig
 from repro.core.managed import ManagedSample
-from repro.core.zonemap import ZoneMapIndex
 from repro.obs import (
     Counter,
     EVENT_KINDS,
@@ -26,7 +24,6 @@ from repro.obs import (
     ReservoirStats,
     Timer,
     TraceSink,
-    reset_deprecation_warnings,
 )
 from repro.storage.device import (
     FileBlockDevice,
@@ -347,46 +344,12 @@ class TestTraceOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims and the proxy bugfix
+# The managed proxy's attribute errors
 # ---------------------------------------------------------------------------
 
 class TestDeprecations:
-    def test_old_reservoir_accessors_warn_but_work(self):
-        gf = make_geometric_file(retain_records=False)
-        gf.ingest(500)
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert gf.seen == gf.stats().seen
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert gf.samples_added == gf.stats().samples_added
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert gf.clock == gf.stats().clock
-
-    def test_warnings_fire_once_per_process(self):
-        gf = make_geometric_file()
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            gf.seen
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gf.seen  # second read stays silent
-
-    def test_striped_combined_stats_shim(self):
-        device = StripedBlockDevice(8, n_disks=2,
-                                    params=small_disk_params())
-        device.write_blocks(0, b"\0" * device.block_size)
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert device.combined_stats() == device.stats()
-
-    def test_zonemap_last_stats_shim(self):
-        gf = make_geometric_file()
-        feed(gf, 2000)
-        index = ZoneMapIndex(gf)
-        list(index.query(0.0, 50.0))
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="stats"):
-            assert index.last_stats is index.stats()
+    """The pre-``stats()`` accessor shims are gone; what remains is the
+    managed proxy's attribute error, fixed alongside them."""
 
     def test_managed_getattr_names_both_classes(self, tmp_path):
         cfg = GeometricFileConfig(capacity=400, buffer_capacity=40,

@@ -97,7 +97,7 @@ class TestHotSubsample:
         hot = HotSubsample(SCHEMA, budget=16)
         hot.observe_count(500)
         assert not hot.coherent
-        hot.refresh(keyed(100), seen=500)
+        hot.refresh(RecordBatch.from_records(SCHEMA, keyed(100)), seen=500)
         assert hot.coherent and hot.fill == 16 and hot.seen == 500
         assert hot.refreshes == 1
         hot.check_invariant()
@@ -105,7 +105,7 @@ class TestHotSubsample:
     def test_refresh_smaller_than_budget_shrinks_m(self):
         hot = HotSubsample(SCHEMA, budget=64)
         hot.observe_count(100)
-        hot.refresh(keyed(20), seen=100)
+        hot.refresh(RecordBatch.from_records(SCHEMA, keyed(20)), seen=100)
         assert hot.fill == 20 and hot.coherent
         # Subsequent stream admissions hold the shrunken reservoir size
         # fixed (Algorithm R cannot soundly regrow m mid-stream).
@@ -116,7 +116,7 @@ class TestHotSubsample:
     def test_refresh_rejects_impossible_population(self):
         hot = HotSubsample(SCHEMA, budget=8)
         with pytest.raises(ValueError):
-            hot.refresh(keyed(10), seen=5)
+            hot.refresh(RecordBatch.from_records(SCHEMA, keyed(10)), seen=5)
 
     def test_enabled_mid_stream_starts_incoherent(self):
         hot = HotSubsample(SCHEMA, budget=8, stream_seen=1000)

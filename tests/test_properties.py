@@ -136,7 +136,7 @@ def test_striped_device_conservation_property(n_disks, stripe, accesses):
             continue
         write_zeros(device, block, n)
         total += n
-    assert device.combined_stats().blocks_written == total
+    assert device.stats().blocks_written == total
     assert device.clock <= sum(d.clock for d in device.disks) + 1e-12
     assert device.clock == max(d.clock for d in device.disks)
 

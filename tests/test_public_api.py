@@ -3,8 +3,8 @@
 A library a downstream user adopts needs its advertised names to exist,
 be importable from the top level, and carry documentation.  These tests
 pin that contract, for the top-level package and for every subpackage
-that declares an ``__all__``, and pin the deprecation shims left behind
-by the unified :class:`repro.Reservoir` protocol redesign.
+that declares an ``__all__``, and the one ``--report`` spelling of the
+benchmark CLI.
 """
 
 import importlib
@@ -117,84 +117,8 @@ class TestSubpackageSurfaces:
 
 
 class TestDeprecatedAliases:
-    """The shims left behind by the protocol unification still work and
-    still warn (once per process; reset between assertions)."""
-
-    def _fresh_warnings(self):
-        from repro.obs import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-
-    def test_sharded_offer_many_warns_and_forwards(self, tmp_path):
-        from repro.core.geometric_file import GeometricFileConfig
-        from repro.service import ShardedReservoir
-        from repro.storage import Record
-
-        self._fresh_warnings()
-        config = GeometricFileConfig(capacity=64, buffer_capacity=16,
-                                     record_size=50, retain_records=True,
-                                     admission="uniform")
-        service = ShardedReservoir(str(tmp_path), config, shards=2,
-                                   pool="inline", seed=7)
-        try:
-            records = [Record(key=i, value=float(i), timestamp=0.0)
-                       for i in range(8)]
-            with pytest.deprecated_call():
-                admitted = service.offer_many(records)
-            assert admitted == 8
-            assert service.snapshot(8)[1] == 8
-        finally:
-            service.close()
-
-    def test_sharded_offer_many_warns_exactly_once_per_process(
-            self, tmp_path):
-        """The shim dedupes: the first call warns, every later call is
-        silent (simplefilter('error') would escalate a repeat)."""
-        import warnings
-
-        from repro.core.geometric_file import GeometricFileConfig
-        from repro.service import ShardedReservoir
-        from repro.storage import Record
-
-        self._fresh_warnings()
-        config = GeometricFileConfig(capacity=64, buffer_capacity=16,
-                                     record_size=50, retain_records=True,
-                                     admission="uniform")
-        service = ShardedReservoir(str(tmp_path), config, shards=2,
-                                   pool="inline", seed=7)
-        try:
-            records = [Record(key=i, value=float(i), timestamp=0.0)
-                       for i in range(8)]
-            with pytest.deprecated_call() as captured:
-                service.offer_many(records)
-            assert len(captured.list) == 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                admitted = service.offer_many(
-                    [Record(key=8 + i, value=float(i), timestamp=0.0)
-                     for i in range(8)])
-            assert admitted == 8
-            assert service.stats().seen == 16
-        finally:
-            service.close()
-
-    def test_cli_alias_flags_warn_and_map_to_report_kinds(self):
-        from repro.cli import _resolve_reports, build_parser
-
-        parser = build_parser()
-        cases = [
-            (["--perf-smoke"], ("ingest", "BENCH_ingest.json")),
-            (["--perf-smoke", "custom.json"], ("ingest", "custom.json")),
-            (["--query-report"], ("query", "BENCH_query.json")),
-            (["--pipeline"], ("pipeline", "BENCH_pipeline.json")),
-            (["--shard-report", "s.json"], ("shard", "s.json")),
-        ]
-        for argv, expected in cases:
-            self._fresh_warnings()
-            args = parser.parse_args(argv)
-            with pytest.deprecated_call():
-                reports = _resolve_reports(parser, args)
-            assert reports == [expected], argv
+    """The deprecated CLI spellings are gone: ``--report KIND[=PATH]``
+    is the one spelling of a benchmark run."""
 
     def test_report_flag_does_not_warn(self):
         import warnings

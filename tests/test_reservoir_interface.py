@@ -1,7 +1,6 @@
 """Tests for the shared StreamReservoir interface and draw helpers."""
 
 import collections
-import random
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from repro.reservoir import (
     draw_victim_counts,
     hypergeometric,
 )
-from repro.storage.records import Record
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 
 
 class _CountingReservoir(StreamReservoir):
@@ -42,7 +42,7 @@ class TestAdmissionModes:
         r = _CountingReservoir(10, admission="always", seed=0)
         for i in range(100):
             r.offer(Record(key=i))
-        assert r.admitted == r.samples_added == 100
+        assert r.admitted == r.stats().samples_added == 100
 
     def test_uniform_admits_n_over_i(self):
         r = _CountingReservoir(100, admission="uniform", seed=0)
@@ -79,31 +79,37 @@ class TestAdmissionModes:
     def test_zero_ingest_is_noop(self):
         r = _CountingReservoir(10)
         r.ingest(0)
-        assert r.seen == 0
+        assert r.stats().seen == 0
+
+
+def _rows(keys) -> np.ndarray:
+    """Slab rows carrying ``keys`` (header-only records)."""
+    return RecordBatch.from_records(
+        RecordSchema(MIN_RECORD_SIZE), [Record(key=k) for k in keys]).array
 
 
 class TestApplyPending:
     def test_result_size(self):
-        disk = [Record(key=i) for i in range(100)]
-        pending = [Record(key=1000 + i) for i in range(10)]
-        out = StreamReservoir.apply_pending(disk, pending, random.Random(0))
+        out = StreamReservoir.apply_pending_batch(
+            _rows(range(100)), _rows(range(1000, 1010)),
+            np.random.default_rng(0))
         assert len(out) == 100
-        keys = {r.key for r in out}
+        keys = set(out["key"].tolist())
         assert all(1000 + i in keys for i in range(10))
 
     def test_no_pending_is_identity(self):
-        disk = [Record(key=i) for i in range(5)]
-        out = StreamReservoir.apply_pending(disk, [], random.Random(0))
-        assert out == disk
+        disk = _rows(range(5))
+        out = StreamReservoir.apply_pending_batch(
+            disk.copy(), _rows([]), np.random.default_rng(0))
+        assert out.tolist() == disk.tolist()
 
     def test_victims_uniform(self):
-        disk = [Record(key=i) for i in range(10)]
-        pending = [Record(key=99)]
         killed = collections.Counter()
-        for t in range(4000):
-            out = StreamReservoir.apply_pending(disk, pending,
-                                                random.Random(t))
-            survivors = {r.key for r in out}
+        rng = np.random.default_rng(0)
+        for _ in range(4000):
+            out = StreamReservoir.apply_pending_batch(
+                _rows(range(10)), _rows([99]), rng)
+            survivors = set(out["key"].tolist())
             for k in range(10):
                 if k not in survivors:
                     killed[k] += 1
@@ -112,10 +118,8 @@ class TestApplyPending:
 
     def test_too_many_pending_rejected(self):
         with pytest.raises(ValueError):
-            StreamReservoir.apply_pending(
-                [Record(key=0)], [Record(key=1), Record(key=2)],
-                random.Random(0),
-            )
+            StreamReservoir.apply_pending_batch(
+                _rows([0]), _rows([1, 2]), np.random.default_rng(0))
 
 
 class TestHypergeometricHelpers:

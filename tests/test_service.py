@@ -34,6 +34,8 @@ from repro.service import (
     merge_shard_samples,
     mix64,
 )
+from repro.storage.recordbatch import RecordBatch
+from repro.storage.records import RecordSchema
 from test_batch_ingest import P_MIN, chi_square_p
 
 
@@ -164,10 +166,13 @@ class TestMerge:
         assert abs(totals[0] - 6000) < 300
 
     def test_merge_rejects_short_shard(self):
+        schema = RecordSchema(40)
         payloads = [
             {"seen": 1000, "size": 3,
-             "records": keyed_records(3)},
-            {"seen": 10, "size": 10, "records": keyed_records(10)},
+             "records": RecordBatch.from_records(schema, keyed_records(3))},
+            {"seen": 10, "size": 10,
+             "records": RecordBatch.from_records(schema,
+                                                 keyed_records(10))},
         ]
         with pytest.raises(ValueError, match="smallest shard reservoir"):
             merge_shard_samples(np.random.default_rng(0), payloads, 8)

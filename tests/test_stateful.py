@@ -63,7 +63,7 @@ class GeometricFileMachine(RuleBasedStateMachine):
     def snapshot_is_a_valid_sample(self):
         sample = self.gf.sample()
         keys = [r.key for r in sample]
-        assert len(keys) == min(self.gf.capacity, self.gf.seen)
+        assert len(keys) == min(self.gf.capacity, self.gf.stats().seen)
         assert len(set(keys)) == len(keys)
         assert all(0 <= k < self.next_key for k in keys)
 
@@ -75,7 +75,7 @@ class GeometricFileMachine(RuleBasedStateMachine):
         device = SimulatedBlockDevice(self.blocks, small_disk_params())
         restored = load_geometric_file(sink, device)
         restored.check_invariants()
-        assert restored.seen == self.gf.seen
+        assert restored.stats().seen == self.gf.stats().seen
         assert restored.disk_size == self.gf.disk_size
         # Adopt the restored instance: continuing from it must be
         # indistinguishable, which later rules then exercise.

@@ -72,7 +72,7 @@ class TestPruning:
         feed(gf, 6000)
         index = ZoneMapIndex(gf, field="timestamp")
         list(index.query(5900.0, 6000.0))
-        stats = index.last_stats
+        stats = index.stats()
         assert stats.subsamples_total > 10
         assert stats.pruned_fraction > 0.5
 
@@ -84,15 +84,15 @@ class TestPruning:
         # Disk residents plus any records still pending in the buffer
         # (the zone map does not apply deferred evictions).
         assert 500 <= len(results) <= 500 + gf.buffer.count
-        assert index.last_stats.pruned_fraction == 0.0
-        assert index.last_stats.records_matched == len(results)
+        assert index.stats().pruned_fraction == 0.0
+        assert index.stats().records_matched == len(results)
 
     def test_stats_track_scanned_and_matched(self):
         gf = make_geometric_file(capacity=400, buffer_capacity=40)
         feed(gf, 2000)
         index = ZoneMapIndex(gf, field="timestamp")
         results = list(index.query(0.0, 500.0))
-        stats = index.last_stats
+        stats = index.stats()
         assert stats.records_matched == len(results)
         assert stats.records_scanned >= stats.records_matched
 
