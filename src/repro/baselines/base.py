@@ -258,9 +258,7 @@ class BufferedDiskReservoir(StreamReservoir):
         """Slab rows for a record list or batch (record mode)."""
         if isinstance(records, RecordBatch):
             return records.array
-        if any(record is None for record in records):
-            raise ValueError("record-retaining mode needs the record")
-        return RecordBatch.from_records(self.schema, records).array
+        return self.schema.encode_rows(records)
 
     def _fill_from(self, records) -> int:
         """Consume a batch's fill-phase prefix; returns records taken."""

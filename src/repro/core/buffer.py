@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..storage.recordbatch import RecordBatch
-from ..storage.records import MIN_RECORD_SIZE, Record, RecordSchema
+from ..storage.records import Record, RecordSchema
 
 _RENORMALIZE_ABOVE = 1e100
 
@@ -59,8 +59,8 @@ class SampleBuffer:
         np_rng: numpy generator for the batched coin flips of
             :meth:`absorb_many`; derived deterministically from ``rng``
             when not supplied.
-        schema: record layout of the slab; defaults to the header-only
-            layout (key, value, timestamp).
+        schema: record layout of the slab; required when
+            ``retain_records`` is true, ignored in count-only mode.
         aux_width: float64 auxiliary columns carried per record for
             non-uniform sampling laws (keys, stream positions).  Aux
             rows ride :meth:`append` / :meth:`replace` in lock-step
@@ -81,11 +81,12 @@ class SampleBuffer:
             raise ValueError("aux_width cannot be negative")
         if aux_width and not retain_records:
             raise ValueError("aux columns require record retention")
+        if retain_records and schema is None:
+            raise ValueError("a record-retaining buffer needs a schema")
         self.capacity = capacity
         self._rng = rng
         self._np_rng = np_rng
-        self._schema = (schema if schema is not None
-                        else RecordSchema(MIN_RECORD_SIZE))
+        self._schema = schema
         self._slab: np.ndarray | None = (
             np.zeros(capacity, dtype=self._schema.dtype)
             if retain_records else None
@@ -278,7 +279,8 @@ class SampleBuffer:
         if self._aux is not None:
             raise TypeError("aux-carrying buffers append per record")
         if self._slab is not None:
-            self._slab[self._count:self._count + n] = self._encode(records)
+            self._slab[self._count:self._count + n] = (
+                self._schema.encode_rows(records))
         self._count += n
 
     def extend_batch(self, batch: RecordBatch) -> None:
@@ -346,7 +348,7 @@ class SampleBuffer:
             if self._slab is not None:
                 part = rows[base:base + took]
                 array = (part.array if isinstance(part, RecordBatch)
-                         else self._encode(part))
+                         else self._schema.encode_rows(part))
                 self._apply_absorb(array, took, replaces)
             self._count = count
             consumed += took
@@ -419,13 +421,6 @@ class SampleBuffer:
         randrange = self._rng.randrange
         for j, count_at in replaces:
             slab[randrange(count_at)] = array[j]
-
-    def _encode(self, records: Sequence[Record | None]) -> np.ndarray:
-        """Rows for a slice of records, through the scalar codec."""
-        if any(record is None for record in records):
-            raise ValueError("record-retaining buffer needs the record")
-        return np.frombuffer(self._schema.encode_batch(list(records)),
-                             dtype=self._schema.dtype)
 
     def _encode_row(self, record: Record):
         # One scalar-codec pack per row keeps slab bytes identical to

@@ -179,25 +179,45 @@ class ZoneMapIndex:
         self.refresh()
         stats = ZoneMapStats()
         self._last_stats = stats
-        for ledger in self._gf.subsamples:
+        gf = self._gf
+        for ledger in gf.subsamples:
             stats.subsamples_total += 1
             envelope = self._envelopes.get(ledger.ident)
             if envelope is None or not envelope.intersects(low, high):
                 continue
             stats.subsamples_scanned += 1
+            if self._field is not None:
+                # Named field: mask the slab column, decode only matches.
+                yield from RecordBatch(gf.schema, self._scan(
+                    ledger.records.array, low, high, stats))
+                continue
             for record in ledger.records:
                 stats.records_scanned += 1
                 value = self._extract(record)
                 if low <= value <= high:
                     stats.records_matched += 1
                     yield record
-        for record in self._gf.buffer:
-            stats.records_scanned += 1
-            value = self._extract(record)
-            if low <= value <= high:
-                stats.records_matched += 1
-                yield record
+        if self._field is not None:
+            yield from RecordBatch(gf.schema, self._scan(
+                gf.buffer.pending_view(), low, high, stats))
+        else:
+            for record in gf.buffer:
+                stats.records_scanned += 1
+                value = self._extract(record)
+                if low <= value <= high:
+                    stats.records_matched += 1
+                    yield record
         self._emit_query(stats)
+
+    def _scan(self, array: np.ndarray, low: float, high: float,
+              stats: ZoneMapStats) -> np.ndarray:
+        """Rows of ``array`` whose named field lies in ``[low, high]``,
+        counted into ``stats``."""
+        stats.records_scanned += len(array)
+        column = array[self._field]
+        matched = array[(column >= low) & (column <= high)]
+        stats.records_matched += len(matched)
+        return matched
 
     def query_batch(self, low: float, high: float) -> RecordBatch:
         """Columnar :meth:`query`: one :class:`RecordBatch` of matches.
@@ -226,24 +246,7 @@ class ZoneMapIndex:
             if envelope is None or not envelope.intersects(low, high):
                 continue
             stats.subsamples_scanned += 1
-            array = ledger.records.array
-            stats.records_scanned += len(array)
-            column = array[self._field]
-            mask = (column >= low) & (column <= high)
-            matched = int(mask.sum())
-            stats.records_matched += matched
-            if matched:
-                parts.append(array[mask])
-        pending = gf.buffer.pending_view()
-        if len(pending):
-            stats.records_scanned += len(pending)
-            column = pending[self._field]
-            mask = (column >= low) & (column <= high)
-            matched = int(mask.sum())
-            stats.records_matched += matched
-            if matched:
-                parts.append(pending[mask])
-        result = (np.concatenate(parts) if parts
-                  else np.empty(0, dtype=gf.schema.dtype))
+            parts.append(self._scan(ledger.records.array, low, high, stats))
+        parts.append(self._scan(gf.buffer.pending_view(), low, high, stats))
         self._emit_query(stats)
-        return RecordBatch(gf.schema, result)
+        return RecordBatch(gf.schema, np.concatenate(parts))

@@ -245,6 +245,17 @@ class RecordSchema:
                 pack_into(out, i * size, r.key, r.value, r.timestamp)
         return bytes(out)
 
+    def encode_rows(self, records) -> np.ndarray:
+        """``records`` packed as rows of :attr:`dtype` (read-only).
+
+        Refuses ``None`` entries: a record-retaining store needs the
+        record itself, not a count-only placeholder.
+        """
+        if any(record is None for record in records):
+            raise ValueError("record-retaining store needs the record")
+        return np.frombuffer(self.encode_batch(list(records)),
+                             dtype=self.dtype)
+
     def decode_batch(self, data: bytes, n_records: int):
         """Unpack ``n_records`` packed records from ``data``."""
         need = n_records * self.record_size

@@ -30,6 +30,7 @@ from scipy import stats as scipy_stats
 
 from conftest import keyed_records, make_geometric_file, make_multi_file
 from repro.core.buffer import SampleBuffer
+from repro.storage.records import MIN_RECORD_SIZE, RecordSchema
 from repro.reservoir import (
     StreamReservoir,
     VictimScratch,
@@ -37,6 +38,9 @@ from repro.reservoir import (
     draw_victim_counts_array,
 )
 from repro.sampling import feed_stream, gaps_z, skip_count_x
+
+#: Header-only record layout for bare buffers.
+HEADER = RecordSchema(MIN_RECORD_SIZE)
 
 #: Significance floor for the chi-square / KS assertions.  Fixed seeds
 #: make the tests deterministic, so this is a one-time check that the
@@ -131,7 +135,7 @@ class TestAbsorbMany:
     def _final_keys(self, batched: bool, seed: int, reservoir_size=500,
                     capacity=40, stream=120):
         rng = random.Random(seed)
-        buffer = SampleBuffer(capacity, rng)
+        buffer = SampleBuffer(capacity, rng, schema=HEADER)
         records = keyed_records(stream)
         if batched:
             consumed = buffer.absorb_many(records, reservoir_size)
@@ -180,25 +184,25 @@ class TestAbsorbMany:
             buffer.absorb_many([None] * 3, 100)
 
     def test_weighted_buffer_rejects_batch(self):
-        buffer = SampleBuffer(8, random.Random(0))
+        buffer = SampleBuffer(8, random.Random(0), schema=HEADER)
         buffer.append(keyed_records(1)[0], weight=2.0)
         with pytest.raises(TypeError):
             buffer.absorb_many(keyed_records(3), 100)
 
     def test_extend_overfill_raises(self):
-        buffer = SampleBuffer(4, random.Random(0))
+        buffer = SampleBuffer(4, random.Random(0), schema=HEADER)
         with pytest.raises(ValueError):
             buffer.extend(keyed_records(5))
 
     def test_retaining_extend_rejects_none(self):
         """extend must match append's None check in retaining mode."""
-        buffer = SampleBuffer(4, random.Random(0))
+        buffer = SampleBuffer(4, random.Random(0), schema=HEADER)
         with pytest.raises(ValueError, match="needs the record"):
             buffer.extend([keyed_records(1)[0], None])
 
     def test_retaining_absorb_rejects_none(self):
         """absorb_many must match add_admitted's None check."""
-        buffer = SampleBuffer(8, random.Random(0))
+        buffer = SampleBuffer(8, random.Random(0), schema=HEADER)
         with pytest.raises(ValueError, match="needs the record"):
             buffer.absorb_many(keyed_records(3) + [None], 100)
 

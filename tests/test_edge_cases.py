@@ -15,7 +15,10 @@ from repro.storage.device import (
     read_discard,
     write_zeros,
 )
-from repro.storage.records import Record
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
+
+#: Header-only record layout for bare buffers.
+HEADER = RecordSchema(MIN_RECORD_SIZE)
 
 
 class TestDeviceHelpersOnByteBackedDevices:
@@ -66,7 +69,7 @@ class TestReportFormatting:
 
 class TestBufferEdges:
     def test_drain_empty_buffer(self):
-        buf = SampleBuffer(5, random.Random(0))
+        buf = SampleBuffer(5, random.Random(0), schema=HEADER)
         records, weights, count = buf.drain()
         assert len(records) == 0 and weights is None and count == 0
 

@@ -61,8 +61,11 @@ from repro.sampling.weights import (
     value_proportional,
 )
 from repro.storage.device import MemoryBlockDevice, SimulatedBlockDevice
-from repro.storage.records import Record
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
 from test_batch_ingest import P_MIN, chi_square_p
+
+#: Header-only record layout for bare buffers.
+HEADER = RecordSchema(MIN_RECORD_SIZE)
 
 pytestmark = pytest.mark.laws
 
@@ -807,7 +810,7 @@ class TestExpJumpKeys:
 
 class TestBufferAux:
     def _buffer(self, capacity=10, aux_width=1):
-        return SampleBuffer(capacity, random.Random(0),
+        return SampleBuffer(capacity, random.Random(0), schema=HEADER,
                             aux_width=aux_width)
 
     def test_append_requires_matching_aux(self):
@@ -815,7 +818,7 @@ class TestBufferAux:
         record = Record(key=0, value=1.0, timestamp=0.0)
         with pytest.raises(TypeError):
             buffer.append(record)  # aux-carrying buffer, no aux row
-        plain = SampleBuffer(4, random.Random(0))
+        plain = SampleBuffer(4, random.Random(0), schema=HEADER)
         with pytest.raises(TypeError):
             plain.append(record, aux=(1.0,))  # aux row, no aux buffer
 
@@ -855,13 +858,13 @@ class TestBufferAux:
             buffer.take_aux()
 
     def test_take_aux_none_for_plain_buffers(self):
-        plain = SampleBuffer(4, random.Random(0))
+        plain = SampleBuffer(4, random.Random(0), schema=HEADER)
         plain.extend([Record(key=0, value=0.0, timestamp=0.0)])
         plain.drain()
         assert plain.take_aux() is None
 
     def test_replace_swaps_record_keeps_capacity(self):
-        plain = SampleBuffer(4, random.Random(0))
+        plain = SampleBuffer(4, random.Random(0), schema=HEADER)
         plain.extend([Record(key=i, value=0.0, timestamp=0.0)
                       for i in range(3)])
         plain.replace(1, Record(key=99, value=0.0, timestamp=0.0))

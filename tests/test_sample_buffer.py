@@ -6,7 +6,10 @@ import random
 import pytest
 
 from repro.core.buffer import SampleBuffer
-from repro.storage.records import Record
+from repro.storage.records import MIN_RECORD_SIZE, Record, RecordSchema
+
+#: Header-only record layout for bare buffers.
+HEADER = RecordSchema(MIN_RECORD_SIZE)
 
 
 def records(n):
@@ -15,21 +18,21 @@ def records(n):
 
 class TestAppend:
     def test_append_fills_in_order(self):
-        buf = SampleBuffer(5, random.Random(0))
+        buf = SampleBuffer(5, random.Random(0), schema=HEADER)
         for r in records(3):
             buf.append(r)
         assert buf.count == 3 and not buf.is_full
         assert [r.key for r in buf] == [0, 1, 2]
 
     def test_append_beyond_capacity_rejected(self):
-        buf = SampleBuffer(2, random.Random(0))
+        buf = SampleBuffer(2, random.Random(0), schema=HEADER)
         buf.append(Record(key=0))
         buf.append(Record(key=1))
         with pytest.raises(ValueError):
             buf.append(Record(key=2))
 
     def test_append_requires_record_in_retaining_mode(self):
-        buf = SampleBuffer(2, random.Random(0))
+        buf = SampleBuffer(2, random.Random(0), schema=HEADER)
         with pytest.raises(ValueError):
             buf.append(None)
 
@@ -41,7 +44,7 @@ class TestAppend:
             buf.append_count(4)  # would overfill
 
     def test_append_count_rejected_in_retaining_mode(self):
-        buf = SampleBuffer(10, random.Random(0))
+        buf = SampleBuffer(10, random.Random(0), schema=HEADER)
         with pytest.raises(TypeError):
             buf.append_count(3)
 
@@ -53,7 +56,7 @@ class TestAppend:
 
 class TestAddAdmitted:
     def test_first_admission_always_joins(self):
-        buf = SampleBuffer(5, random.Random(0))
+        buf = SampleBuffer(5, random.Random(0), schema=HEADER)
         assert buf.add_admitted(Record(key=0), reservoir_size=100) is True
         assert buf.count == 1
 
@@ -62,7 +65,7 @@ class TestAddAdmitted:
         joins = 0
         trials = 4000
         for t in range(trials):
-            buf = SampleBuffer(100, random.Random(t))
+            buf = SampleBuffer(100, random.Random(t), schema=HEADER)
             for r in records(50):
                 buf.append(r)
             if buf.add_admitted(Record(key=999), reservoir_size=100):
@@ -71,7 +74,7 @@ class TestAddAdmitted:
         assert joins / trials == pytest.approx(0.5, abs=0.04)
 
     def test_replacement_does_not_change_count(self):
-        buf = SampleBuffer(10, random.Random(1))
+        buf = SampleBuffer(10, random.Random(1), schema=HEADER)
         for r in records(9):
             buf.append(r)
         # reservoir_size == count makes replacement certain.
@@ -81,7 +84,7 @@ class TestAddAdmitted:
         assert 99 in {r.key for r in buf}
 
     def test_full_buffer_rejected(self):
-        buf = SampleBuffer(2, random.Random(0))
+        buf = SampleBuffer(2, random.Random(0), schema=HEADER)
         buf.append(Record(key=0))
         buf.append(Record(key=1))
         with pytest.raises(ValueError):
@@ -90,7 +93,7 @@ class TestAddAdmitted:
     def test_replacement_slot_uniform(self):
         counts = collections.Counter()
         for t in range(3000):
-            buf = SampleBuffer(4, random.Random(t))
+            buf = SampleBuffer(4, random.Random(t), schema=HEADER)
             for r in records(3):
                 buf.append(r)
             buf.add_admitted(Record(key=99), reservoir_size=3)  # certain
@@ -103,7 +106,7 @@ class TestAddAdmitted:
 
 class TestDrain:
     def test_drain_returns_everything_and_resets(self):
-        buf = SampleBuffer(5, random.Random(0))
+        buf = SampleBuffer(5, random.Random(0), schema=HEADER)
         for r in records(5):
             buf.append(r)
         out, weights, count = buf.drain()
@@ -116,7 +119,7 @@ class TestDrain:
         """Over many drains, each record appears at each position."""
         position_of_zero = collections.Counter()
         for t in range(2000):
-            buf = SampleBuffer(5, random.Random(t))
+            buf = SampleBuffer(5, random.Random(t), schema=HEADER)
             for r in records(5):
                 buf.append(r)
             out, _, _ = buf.drain()
@@ -133,7 +136,7 @@ class TestDrain:
 
 class TestWeights:
     def test_weighted_mode_keeps_pairs_aligned(self):
-        buf = SampleBuffer(5, random.Random(3))
+        buf = SampleBuffer(5, random.Random(3), schema=HEADER)
         for r in records(5):
             buf.append(r, weight=float(r.key) + 1.0)
         out, weights, _ = buf.drain()
@@ -141,36 +144,36 @@ class TestWeights:
             assert weight == pytest.approx(record.key + 1.0)
 
     def test_scale_weights(self):
-        buf = SampleBuffer(3, random.Random(0))
+        buf = SampleBuffer(3, random.Random(0), schema=HEADER)
         buf.append(Record(key=0), weight=2.0)
         buf.scale_weights(3.0)
         assert buf.weights() == [pytest.approx(6.0)]
 
     def test_scale_requires_weighted_mode(self):
-        buf = SampleBuffer(3, random.Random(0))
+        buf = SampleBuffer(3, random.Random(0), schema=HEADER)
         with pytest.raises(TypeError):
             buf.scale_weights(2.0)
 
     def test_scale_factor_must_be_positive(self):
-        buf = SampleBuffer(3, random.Random(0))
+        buf = SampleBuffer(3, random.Random(0), schema=HEADER)
         buf.append(Record(key=0), weight=1.0)
         with pytest.raises(ValueError):
             buf.scale_weights(0.0)
 
     def test_cannot_switch_to_weighted_mid_fill(self):
-        buf = SampleBuffer(3, random.Random(0))
+        buf = SampleBuffer(3, random.Random(0), schema=HEADER)
         buf.append(Record(key=0))
         with pytest.raises(ValueError):
             buf.append(Record(key=1), weight=1.0)
 
     def test_weighted_mode_requires_weight_every_time(self):
-        buf = SampleBuffer(3, random.Random(0))
+        buf = SampleBuffer(3, random.Random(0), schema=HEADER)
         buf.append(Record(key=0), weight=1.0)
         with pytest.raises(ValueError):
             buf.append(Record(key=1))
 
     def test_replacement_updates_weight(self):
-        buf = SampleBuffer(4, random.Random(2))
+        buf = SampleBuffer(4, random.Random(2), schema=HEADER)
         for r in records(3):
             buf.append(r, weight=1.0)
         buf.add_admitted(Record(key=99), reservoir_size=3, weight=7.0)
@@ -179,7 +182,7 @@ class TestWeights:
         assert by_key[99] == pytest.approx(7.0)
 
     def test_weights_survive_drain_reset(self):
-        buf = SampleBuffer(2, random.Random(0))
+        buf = SampleBuffer(2, random.Random(0), schema=HEADER)
         buf.append(Record(key=0), weight=1.0)
         buf.drain()
         buf.append(Record(key=1), weight=2.0)
@@ -188,4 +191,4 @@ class TestWeights:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SampleBuffer(0, random.Random(0))
+            SampleBuffer(0, random.Random(0), schema=HEADER)

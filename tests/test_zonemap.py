@@ -1,9 +1,12 @@
 """Tests for zone-map indexing over a geometric file (Section 10)."""
 
+import collections
+
 import pytest
 
 from conftest import make_geometric_file
 from repro.core.zonemap import ZoneMapIndex
+from repro.storage import recordbatch
 from repro.storage.records import Record
 
 
@@ -95,6 +98,29 @@ class TestPruning:
         stats = index.stats()
         assert stats.records_matched == len(results)
         assert stats.records_scanned >= stats.records_matched
+
+
+    def test_named_field_query_decodes_only_matches(self, monkeypatch):
+        """A named-field query masks the slab column first: it builds
+        one record per match, and its stats equal query_batch's."""
+        gf = make_geometric_file(capacity=400, buffer_capacity=40)
+        feed(gf, 2030)
+        assert gf.buffer.count > 0
+        index = ZoneMapIndex(gf, field="value")
+        want = index.query_batch(10.0, 12.0)
+        batch_stats = index.stats()
+        built = collections.Counter()
+
+        def counting_record(*args):
+            built["records"] += 1
+            return Record(*args)
+
+        monkeypatch.setattr(recordbatch, "Record", counting_record)
+        got = list(index.query(10.0, 12.0))
+        assert built["records"] == len(got) == len(want)
+        assert [r.key for r in got] == want.keys.tolist()
+        assert index.stats() == batch_stats
+        assert index.stats().records_scanned > len(got)
 
 
 class TestMaintenance:
